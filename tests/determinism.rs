@@ -20,6 +20,25 @@ fn snapshot_line(label: &str, m: &RunMetrics) -> String {
     format!("{label}: {m:?}")
 }
 
+/// The steering and poll golden cells: both directions loss-free, plus
+/// one lossy TX cell — the only golden input that reaches the
+/// retransmission-timeout path.
+const LOSS_CELLS: [(Direction, f64); 3] = [
+    (Direction::Tx, 0.0),
+    (Direction::Rx, 0.0),
+    (Direction::Tx, 0.02),
+];
+
+/// Label suffix of a golden cell (empty for the loss-free cells, so
+/// their committed lines keep their labels).
+fn loss_suffix(loss: f64) -> String {
+    if loss > 0.0 {
+        format!(" loss={loss}")
+    } else {
+        String::new()
+    }
+}
+
 /// Compares rendered snapshot lines against the committed golden file,
 /// or rewrites it when `AFFSIM_BLESS` is set (only for a deliberate
 /// semantic change): `AFFSIM_BLESS=1 cargo test --test determinism golden`.
@@ -86,16 +105,19 @@ fn four_cpu_scale_matches_committed_golden_snapshot() {
 /// configuration (4 CPUs, one 4-queue NIC, 12 hash-placed flows with the
 /// filter table chasing consumers) alongside the static `four_cpu` cells.
 /// The snapshot covers the metrics *and* the steering counters, so
-/// re-steer accounting can't drift silently either.
+/// re-steer accounting can't drift silently either. The lossy TX cell
+/// drives `RtoFire`, whose timer softirq runs on the flow's APIC route —
+/// the route Flow Director re-targets.
 #[test]
 fn flow_director_matches_committed_golden_snapshot() {
     let mut lines = Vec::new();
-    for dir in [Direction::Tx, Direction::Rx] {
+    for (dir, loss) in LOSS_CELLS {
         let mut config =
             ExperimentConfig::steer_sweep(dir, 4, 12, SteerSpec::flow_director()).with_seed(0x5EED);
         config.workload.warmup_messages = 2;
         config.workload.measure_messages = 6;
-        let label = format!("{dir} 4cpu 12flows FlowDir");
+        config.tunables.loss_rate = loss;
+        let label = format!("{dir} 4cpu 12flows FlowDir{}", loss_suffix(loss));
         let run = run_experiment(&config).unwrap();
         lines.push(format!("{label}: {:?} {:?}", run.metrics, run.steer));
     }
@@ -106,15 +128,18 @@ fn flow_director_matches_committed_golden_snapshot() {
 /// cores over one 4-queue NIC, 12 RSS-hashed flows, both directions.
 /// The snapshot covers the metrics *and* the poll counters (polls,
 /// empty polls, spin vs work cycles), so neither the run-to-completion
-/// loop nor the idle-burn accounting can drift silently.
+/// loop nor the idle-burn accounting can drift silently. The lossy TX
+/// cell drives `RtoFire`, retransmitted run-to-completion on the flow's
+/// owning PMD core.
 #[test]
 fn poll_mode_matches_committed_golden_snapshot() {
     let mut lines = Vec::new();
-    for dir in [Direction::Tx, Direction::Rx] {
+    for (dir, loss) in LOSS_CELLS {
         let mut config = ExperimentConfig::poll_sweep(dir, 4, 12).with_seed(0x5EED);
         config.workload.warmup_messages = 2;
         config.workload.measure_messages = 6;
-        let label = format!("{dir} 4cpu 12flows Poll");
+        config.tunables.loss_rate = loss;
+        let label = format!("{dir} 4cpu 12flows Poll{}", loss_suffix(loss));
         let run = run_experiment(&config).unwrap();
         assert_eq!(
             run.metrics.interrupts, 0,
