@@ -17,6 +17,12 @@
 //! attributed, Oprofile-skid-style, either to the interrupt handler or
 //! to a cycle-weighted draw over the code recently executing on that
 //! CPU.
+//!
+//! The kernel-bypass poll dataplane runs in the same loop, through the
+//! same event dispatcher and per-flow bottom half. It differs in three
+//! places only (the `Dataplane` enum): how a completion is handed off
+//! after its DMA, how the next CPU work is picked (and who wins a tie
+//! with an event), and the consumer and accounting tail.
 
 use sim_core::{
     ConnectionId, CpuId, DeviceId, IrqVector, Result, ShardedEventQueue, SimRng, SimTime, TaskId,
@@ -30,7 +36,7 @@ use sim_tcp::{Bin, ConnState, ExecCtx, TcpStack};
 
 use crate::experiment::{DataplaneMode, ExperimentConfig};
 use crate::metrics::{BinBreakdown, LifecycleCounters, RunMetrics};
-use crate::poll::{PollPlane, RxDesc, TxDesc};
+use crate::poll::{PollPlane, RxDesc};
 use crate::ready::ReadyCpus;
 use crate::steer::{even_home, SteeringPolicy};
 use crate::workload::{Direction, ServerWorkload};
@@ -108,29 +114,29 @@ struct ServerState {
     in_pending: Vec<bool>,
 }
 
-/// One drained poll-mode rx burst, classified by descriptor type.
-#[derive(Debug, Default)]
-struct PollBurst {
-    /// Per flow: completed tx descriptors.
-    txdone: Vec<(usize, u32)>,
-    /// Per flow: segments acknowledged.
-    acks: Vec<(usize, u32)>,
-    /// Per flow: received frame sizes.
-    data: Vec<(usize, Vec<u32>)>,
-    /// Flows with an arriving SYN.
-    syns: Vec<usize>,
-    /// Flows with a FIN-ACK completing teardown.
-    finacks: Vec<usize>,
+/// The dataplane: how device completions reach the per-flow stack work.
+/// The event dispatcher, the per-flow bottom half and the send/receive
+/// bodies are shared; each variant owns only the state of the step where
+/// the two models differ — how a completion is handed off after its DMA.
+#[derive(Debug)]
+enum Dataplane {
+    /// Interrupt-driven NAPI: completions are staged per flow and
+    /// moderated per queue, a softirq on the vector's CPU drains them,
+    /// and process context runs as scheduler tasks.
+    Interrupt(IrqPlane),
+    /// Kernel bypass: completions are descriptors on per-queue SPSC
+    /// rings, drained run-to-completion by busy-polling PMD cores.
+    Poll(PollPlane),
 }
 
-impl PollBurst {
-    fn is_empty(&self) -> bool {
-        self.txdone.is_empty()
-            && self.acks.is_empty()
-            && self.data.is_empty()
-            && self.syns.is_empty()
-            && self.finacks.is_empty()
-    }
+/// Interrupt-moderation state of the interrupt dataplane, per queue.
+#[derive(Debug)]
+struct IrqPlane {
+    /// Cycle of each queue's latest device activity: a moderation timer
+    /// that fires behind it re-arms instead of flushing.
+    nic_activity: Vec<u64>,
+    /// Whether each queue has a moderation timer in flight.
+    flush_armed: Vec<bool>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,11 +189,9 @@ pub struct Machine {
     steering: Box<dyn SteeringPolicy>,
     steer_stats: SteerCounters,
 
-    /// The kernel-bypass dataplane — `Some` only under
-    /// [`DataplaneMode::Poll`], where the run loop below is replaced by
-    /// [`Machine::run_poll`] and none of the interrupt/scheduler
-    /// machinery ever fires.
-    poll: Option<PollPlane>,
+    /// The dataplane (interrupt or kernel-bypass poll) — the run loop's
+    /// only variation point.
+    plane: Dataplane,
 
     /// Dynamic connection lifecycle — `Some` only for server workloads,
     /// where `connections` is a slot-arena bound, flows are born on SYN
@@ -217,6 +221,9 @@ pub struct Machine {
     queue_local: Vec<usize>,
 
     // Per-flow state.
+    /// Work staged for each flow's next bottom half: data frame sizes,
+    /// segments ACKed, ACK frames and tx completions. The interrupt plane
+    /// stages at hand-off, a PMD core as it drains its rings.
     flow_rx_pending: Vec<Vec<u32>>,
     flow_ack_pending: Vec<u32>,
     flow_ack_frames: Vec<u32>,
@@ -229,9 +236,6 @@ pub struct Machine {
     last_softirq_cpu: Vec<Option<CpuId>>,
     last_process_cpu: Vec<Option<CpuId>>,
 
-    // Per-queue state.
-    nic_activity: Vec<u64>,
-    flush_armed: Vec<bool>,
     /// Cycles each CPU has spent in interrupt context (top halves,
     /// bottom halves, flush penalties) — drives the wake-affine gate.
     irq_cycles: Vec<u64>,
@@ -381,11 +385,11 @@ impl Machine {
         // Kernel bypass: queue ownership follows the same `vector_home`
         // the APIC was just programmed with, so poll and interrupt cells
         // of a sweep are geometry-for-geometry comparable.
-        let poll = if config.dataplane.mode == DataplaneMode::Poll {
+        let plane = if config.dataplane.mode == DataplaneMode::Poll {
             let homes: Vec<usize> = (0..total_queues)
                 .map(|q| steering.vector_home(q, total_queues, cpus).index())
                 .collect();
-            Some(PollPlane::new(
+            Dataplane::Poll(PollPlane::new(
                 cpus,
                 &homes,
                 &queue_flows,
@@ -394,7 +398,10 @@ impl Machine {
                 config.tunables.send_buf_segments,
             ))
         } else {
-            None
+            Dataplane::Interrupt(IrqPlane {
+                nic_activity: vec![0; total_queues],
+                flush_armed: vec![false; total_queues],
+            })
         };
 
         // Server workloads: the arena starts empty (every slot in the
@@ -452,7 +459,7 @@ impl Machine {
             ready: ReadyCpus::new(),
             steering,
             steer_stats: SteerCounters::default(),
-            poll,
+            plane,
             server,
             pin_processes: spec.pin_processes,
             tasks,
@@ -467,8 +474,6 @@ impl Machine {
             flow_ack_pending: vec![0; flows],
             flow_ack_frames: vec![0; flows],
             flow_txdone_pending: vec![0; flows],
-            nic_activity: vec![0; total_queues],
-            flush_armed: vec![false; total_queues],
             wire_cursor: vec![0; flows],
             tx_wire_offset: vec![0; flows],
             peer_inflight: vec![0; flows],
@@ -523,40 +528,62 @@ impl Machine {
     }
 
     fn arm_flush(&mut self, queue: usize, at: u64) {
-        if !self.flush_armed[queue] {
-            self.flush_armed[queue] = true;
-            // The queue's coalescer may carry its own moderation-timer
-            // period (adaptive policies); fixed-count falls back to the
-            // machine-level default.
-            let timeout = self.nics[self.queue_nic[queue]]
-                .flush_timeout(self.queue_local[queue])
-                .unwrap_or(self.config.tunables.coalesce_flush_cycles);
-            self.push_event(
-                at + timeout,
-                Event::CoalesceFlush {
-                    queue,
-                    armed_at: at,
-                },
-            );
+        if std::mem::replace(&mut self.irq_plane().flush_armed[queue], true) {
+            return;
+        }
+        // The queue's coalescer may carry its own moderation-timer
+        // period (adaptive policies); fixed-count falls back to the
+        // machine-level default.
+        let timeout = self.nics[self.queue_nic[queue]]
+            .flush_timeout(self.queue_local[queue])
+            .unwrap_or(self.config.tunables.coalesce_flush_cycles);
+        self.push_event(
+            at + timeout,
+            Event::CoalesceFlush {
+                queue,
+                armed_at: at,
+            },
+        );
+    }
+
+    fn polling(&self) -> bool {
+        matches!(self.plane, Dataplane::Poll(_))
+    }
+
+    /// The interrupt plane's moderation state (interrupt-only callers).
+    fn irq_plane(&mut self) -> &mut IrqPlane {
+        match &mut self.plane {
+            Dataplane::Interrupt(irq) => irq,
+            Dataplane::Poll(_) => unreachable!("interrupt moderation under the poll dataplane"),
+        }
+    }
+
+    /// The poll plane's rings and counters (PMD-only callers).
+    fn poll_plane(&mut self) -> &mut PollPlane {
+        match &mut self.plane {
+            Dataplane::Poll(plane) => plane,
+            Dataplane::Interrupt(_) => unreachable!("PMD work under the interrupt dataplane"),
         }
     }
 
     /// Runs the workload to completion and returns the measured metrics.
     ///
+    /// One loop serves both dataplanes. Each iteration runs whichever
+    /// comes first: the next device event, or the earliest CPU work. On
+    /// the interrupt plane that work is a scheduler step of the earliest
+    /// runnable CPU, and it wins a tie with an event. On the poll plane
+    /// it is one iteration of the PMD core with the earliest ring or
+    /// send work, and an event at the same instant goes first (events
+    /// only ever add work at that instant).
+    ///
     /// # Panics
     ///
     /// Panics on an internal deadlock (no runnable work and no pending
-    /// events before the measurement target is reached) — that would be a
-    /// bug in the machine model.
+    /// events before the measurement target is reached) or a wedged loop
+    /// (past its iteration bound) — either would be a bug in the machine
+    /// model.
     pub fn run(&mut self) -> RunMetrics {
-        if self.poll.is_some() {
-            return self.run_poll();
-        }
-        if self.server.is_some() {
-            self.seed_server_work();
-        } else {
-            self.seed_initial_work();
-        }
+        self.seed_work();
         let mut guard: u64 = 0;
         let guard_limit = self.guard_limit();
         // Probing the environment takes a lock and scans `environ`; do it
@@ -581,38 +608,33 @@ impl Machine {
                         .collect::<Vec<_>>(),
                 );
             }
-            // Runnability only moves when the scheduler mutates; reuse
-            // the cached ready mask until its generation slips. The pick
-            // reproduces the old `filter(cpu_has_work).min_by_key
-            // (|c| (clock, cpu))` scan bit-for-bit (see `ready.rs`).
-            let generation = self.sched.generation();
-            if self.ready.stale(generation) {
-                let mut mask = 0u64;
-                for c in 0..self.config.cpus {
-                    if self.cpu_has_work(c) {
-                        mask |= 1 << c;
-                    }
-                }
-                self.ready.set(generation, mask);
-            }
-            let ready = self.ready.pick(&self.clocks);
-            match (ready, self.events.peek_time()) {
-                (Some(c), Some(t)) => {
-                    if self.clocks[c] <= t.cycles() {
-                        self.step_cpu(c);
+            let (work, cpu_wins_tie) = if self.polling() {
+                (self.poll_next_work(), false)
+            } else {
+                (self.ready_cpu().map(|c| (self.clocks[c], c)), true)
+            };
+            let event_at = self.events.peek_time().map(SimTime::cycles);
+            match work {
+                Some((wt, c))
+                    if event_at.is_none_or(|et| wt < et || (wt == et && cpu_wins_tie)) =>
+                {
+                    if self.polling() {
+                        self.step_pmd(c, wt);
                     } else {
-                        self.process_event();
+                        self.step_cpu(c);
                     }
                 }
-                (Some(c), None) => self.step_cpu(c),
-                (None, Some(_)) => self.process_event(),
-                (None, None) => panic!(
-                    "machine deadlocked: no runnable tasks and no events \
+                _ if event_at.is_some() => self.process_event(),
+                _ => panic!(
+                    "machine deadlocked: no runnable work and no events \
                      ({}/{} messages measured)",
                     self.measured_messages,
                     self.measure_target()
                 ),
             }
+        }
+        if self.polling() {
+            self.finish_poll_spin();
         }
         self.collect_metrics()
     }
@@ -630,10 +652,6 @@ impl Machine {
         10_000 * msgs * self.message_target_scale() + 1_000_000
     }
 
-    /// What one unit of `warmup_messages`/`measure_messages` means:
-    /// `connections` messages per unit historically, one message per
-    /// unit when the workload asks for aggregate targets (the
-    /// million-flow cells, where per-flow depth is the wrong knob).
     /// The RX working set: how many connections the peers stream on.
     /// Everything above this index holds provisioned state (arena slot,
     /// page region, scheduler task) but never sources a frame.
@@ -644,6 +662,10 @@ impl Machine {
         }
     }
 
+    /// What one unit of `warmup_messages`/`measure_messages` means:
+    /// `connections` messages per unit historically, one message per
+    /// unit when the workload asks for aggregate targets (the
+    /// million-flow cells, where per-flow depth is the wrong knob).
     fn message_target_scale(&self) -> u64 {
         if self.config.workload.aggregate_targets {
             1
@@ -660,73 +682,33 @@ impl Machine {
         u64::from(self.config.workload.measure_messages) * self.message_target_scale()
     }
 
-    /// The kernel-bypass run loop: no scheduler, no interrupts, no IPIs.
-    /// Each CPU is a PMD core spinning on its queues' SPSC rings; the
-    /// loop interleaves device events (which push descriptors) with PMD
-    /// steps (which drain them and run protocol + app to completion) in
-    /// deterministic global time order. Idle gaps are charged as spin —
-    /// a poll core is 100% busy by construction — and at the end every
-    /// core is spun forward to the last message time so burned cores are
-    /// priced over the whole measurement window.
-    fn run_poll(&mut self) -> RunMetrics {
-        if self.server.is_some() {
-            self.seed_server_work();
-        } else if self.config.workload.direction == Direction::Rx {
-            for ti in 0..self.tasks.len() {
-                self.tasks[ti].blocked = Some(BlockReason::RxData);
-            }
-            for f in 0..self.streaming_conns() {
-                self.refill_peer_window(f, 0);
-            }
-        }
-        let mut guard: u64 = 0;
-        let guard_limit = self.guard_limit();
-        let trace = std::env::var_os("AFFSIM_TRACE").is_some();
-        while !self.done {
-            guard += 1;
-            assert!(
-                guard < guard_limit,
-                "poll run loop exceeded {guard_limit} iterations — machine wedged?"
-            );
-            if trace && should_trace(guard) {
-                eprintln!(
-                    "poll iter={guard} msgs={}/{} measuring={} clocks={:?} events={}",
-                    self.total_messages,
-                    self.measured_messages,
-                    self.measuring,
-                    self.clocks,
-                    self.events.len(),
-                );
-            }
-            match (self.poll_next_work(), self.events.peek_time()) {
-                (Some((wt, c)), Some(et)) => {
-                    if et.cycles() <= wt {
-                        self.process_poll_event();
-                    } else {
-                        self.step_pmd(c, wt);
-                    }
+    /// The interrupt plane's next CPU: the earliest-clock CPU with
+    /// runnable work. Runnability only moves when the scheduler mutates;
+    /// reuse the cached ready mask until its generation slips. The pick
+    /// reproduces the old `filter(cpu_has_work).min_by_key(|c| (clock,
+    /// cpu))` scan bit-for-bit (see `ready.rs`).
+    fn ready_cpu(&mut self) -> Option<usize> {
+        let generation = self.sched.generation();
+        if self.ready.stale(generation) {
+            let mut mask = 0u64;
+            for c in 0..self.config.cpus {
+                if self.cpu_has_work(c) {
+                    mask |= 1 << c;
                 }
-                (Some((wt, c)), None) => self.step_pmd(c, wt),
-                (None, Some(_)) => self.process_poll_event(),
-                (None, None) => panic!(
-                    "poll dataplane deadlocked: no ring work and no events \
-                     ({}/{} messages measured)",
-                    self.measured_messages,
-                    self.measure_target()
-                ),
             }
+            self.ready.set(generation, mask);
         }
-        self.finish_poll_spin();
-        self.collect_metrics()
+        self.ready.pick(&self.clocks)
     }
 
-    /// The earliest `(time, cpu)` at which any PMD core can do useful
-    /// work: drain a descriptor its device has enqueued, or (TX) push
-    /// more segments for a flow with send-window room. Ties break to the
-    /// lower CPU; events at the same time are processed first by the
-    /// caller (they only ever add work at that instant).
+    /// The poll plane's next CPU: the earliest `(time, cpu)` at which any
+    /// PMD core can do useful work — drain a descriptor its device has
+    /// enqueued, or (TX) push more segments for a flow with send-window
+    /// room. Ties break to the lower CPU.
     fn poll_next_work(&self) -> Option<(u64, usize)> {
-        let plane = self.poll.as_ref().expect("poll mode");
+        let Dataplane::Poll(plane) = &self.plane else {
+            return None;
+        };
         let mut best: Option<(u64, usize)> = None;
         for c in 0..self.config.cpus {
             let mut at = plane.next_rx_at(c);
@@ -738,7 +720,7 @@ impl Machine {
                     .queues()
                     .iter()
                     .flat_map(|&q| self.queue_flows[q].iter())
-                    .any(|&f| self.poll_can_send(f))
+                    .any(|&f| self.writable_room(f).is_some())
             {
                 at = Some(at.map_or(self.clocks[c], |t| t.min(self.clocks[c])));
             }
@@ -752,29 +734,20 @@ impl Machine {
         best
     }
 
-    /// The `step_tx` send gate, core-local: enough combined send-buffer
-    /// and congestion-window room to be worth a `sendmsg`.
-    fn poll_can_send(&self, flow: usize) -> bool {
-        let conn_id = ConnectionId::new(flow as u32);
-        let buf_free = self
-            .config
-            .tunables
-            .send_buf_segments
-            .saturating_sub(self.stack.tx_inflight(conn_id));
-        let cwnd_free = self
-            .stack
-            .tx_window(conn_id)
-            .saturating_sub(self.stack.tx_unacked(conn_id));
-        let low_water = 8.min(self.stack.tx_window(conn_id) / 2).max(1);
-        buf_free.min(cwnd_free) >= low_water
-    }
-
     /// One poll iteration of core `c`, starting at `t0`: spin across the
-    /// idle gap, probe the owned rings, drain up to one burst per queue,
-    /// then run protocol and application work for each flow that had
-    /// descriptors — all on this core, with `cross == false` everywhere
-    /// (run-to-completion is the whole point).
+    /// idle gap, probe the owned rings, drain up to one burst per queue
+    /// into the flows' staged work, and run each drained flow's bottom
+    /// half — protocol and application — right here (run-to-completion
+    /// is the whole point). TX cores then push more segments.
     fn step_pmd(&mut self, c: usize, t0: u64) {
+        let (burst, epc, queues) = {
+            let plane = self.poll_plane();
+            (
+                plane.pmd.burst as usize,
+                plane.pmd.empty_poll_cycles,
+                plane.cores[c].queues().to_vec(),
+            )
+        };
         if t0 > self.clocks[c] {
             // The core spun empty from its clock to t0. When the gap
             // straddles the measurement start (this core was idle when
@@ -785,67 +758,36 @@ impl Machine {
             } else {
                 self.clocks[c]
             };
-            let spin = t0 - from;
-            if spin > 0 {
-                let epc = self.poll.as_ref().expect("poll mode").pmd.empty_poll_cycles;
-                self.cores[c].charge_spin_cycles(spin);
-                let counters = &mut self.poll.as_mut().expect("poll mode").counters[c];
-                counters.empty_polls += PmdCore::empty_polls_for_gap(spin, epc);
-                counters.spin_cycles += spin;
-            }
+            self.poll_spin(c, t0 - from);
             self.clocks[c] = t0;
         }
-        let (burst, epc, queues) = {
-            let plane = self.poll.as_ref().expect("poll mode");
-            (
-                plane.pmd.burst as usize,
-                plane.pmd.empty_poll_cycles,
-                plane.cores[c].queues().to_vec(),
-            )
-        };
         // The iteration's ring probes cost one poll quantum whether or
         // not they find anything.
         self.cores[c].charge_plain_cycles(epc);
         self.clocks[c] += epc;
         let mut found_work = false;
+        let mut flows = Vec::new();
         for &q in &queues {
             // Drain one rx burst. Everything enqueued is observable:
             // events at or before t0 have already been processed.
-            let mut b = PollBurst::default();
-            {
-                let plane = self.poll.as_mut().expect("poll mode");
-                for _ in 0..burst {
-                    let Some(desc) = plane.rx[q].pop() else { break };
-                    if desc.pins_buffer() {
-                        plane.pool[q].free();
-                    }
-                    match desc {
-                        RxDesc::TxDone { flow, .. } => {
-                            match b.txdone.iter_mut().find(|e| e.0 == flow) {
-                                Some(e) => e.1 += 1,
-                                None => b.txdone.push((flow, 1)),
-                            }
-                        }
-                        RxDesc::Ack { flow, acked, .. } => {
-                            match b.acks.iter_mut().find(|e| e.0 == flow) {
-                                Some(e) => e.1 += acked,
-                                None => b.acks.push((flow, acked)),
-                            }
-                        }
-                        RxDesc::Data { flow, bytes, .. } => {
-                            match b.data.iter_mut().find(|e| e.0 == flow) {
-                                Some(e) => e.1.push(bytes),
-                                None => b.data.push((flow, vec![bytes])),
-                            }
-                        }
-                        RxDesc::Syn { flow, .. } => b.syns.push(flow),
-                        RxDesc::FinAck { flow, .. } => b.finacks.push(flow),
-                    }
+            flows.clear();
+            while flows.len() < burst {
+                let plane = self.poll_plane();
+                let Some(desc) = plane.rx[q].pop() else { break };
+                if desc.pins_buffer() {
+                    plane.pool[q].free();
                 }
+                flows.push(desc.flow());
+                self.stage(desc);
             }
-            if !b.is_empty() {
-                found_work = true;
-                self.poll_process_batch(c, q, &b);
+            if flows.is_empty() {
+                continue;
+            }
+            found_work = true;
+            flows.sort_unstable();
+            flows.dedup();
+            for &flow in &flows {
+                self.flow_bottom_half(c, q, flow);
                 if self.done {
                     return;
                 }
@@ -853,14 +795,12 @@ impl Machine {
         }
         // TX: after completions opened window room (or on the very first
         // iteration), push more segments for this core's flows. Server
-        // responses are pushed inline by the batch processing instead.
+        // responses are pushed inline by the bottom half instead.
         if self.server.is_none() && self.config.workload.direction == Direction::Tx {
             for &q in &queues {
                 for i in 0..self.queue_flows[q].len() {
-                    let flow = self.queue_flows[q][i];
-                    if self.poll_can_send(flow) {
+                    if self.send_chunk(c, self.queue_flows[q][i]) {
                         found_work = true;
-                        self.poll_send(c, q, flow);
                         if self.done {
                             return;
                         }
@@ -868,7 +808,7 @@ impl Machine {
                 }
             }
         }
-        let counters = &mut self.poll.as_mut().expect("poll mode").counters[c];
+        let counters = &mut self.poll_plane().counters[c];
         if found_work {
             counters.polls += 1;
         } else {
@@ -877,393 +817,17 @@ impl Machine {
         }
     }
 
-    /// Protocol + application processing for one queue's drained burst,
-    /// in ascending-flow order like the NAPI bottom half — but with no
-    /// IPI to a remote process CPU and no scheduler wakeup: the consumer
-    /// runs inline, here.
-    fn poll_process_batch(&mut self, c: usize, queue: usize, burst: &PollBurst) {
-        let cpu = CpuId::new(c as u32);
-        let nic = self.queue_nic[queue];
-        let local = self.queue_local[queue];
-        let mut flows: Vec<usize> = burst
-            .txdone
-            .iter()
-            .map(|e| e.0)
-            .chain(burst.acks.iter().map(|e| e.0))
-            .chain(burst.data.iter().map(|e| e.0))
-            .chain(burst.syns.iter().copied())
-            .chain(burst.finacks.iter().copied())
-            .collect();
-        flows.sort_unstable();
-        flows.dedup();
-        for flow in flows {
-            let conn_id = ConnectionId::new(flow as u32);
-            let done = burst.txdone.iter().find(|e| e.0 == flow).map_or(0, |e| e.1);
-            let acked = burst.acks.iter().find(|e| e.0 == flow).map_or(0, |e| e.1);
-            let frames: &[u32] = burst
-                .data
-                .iter()
-                .find(|e| e.0 == flow)
-                .map_or(&[], |e| e.1.as_slice());
-            let syn = burst.syns.contains(&flow);
-            let finack = burst.finacks.contains(&flow);
-            let before = self.cores[c].busy_cycles();
-            let mut syn_queued = false;
-            {
-                let mut ctx = ExecCtx::new(
-                    &mut self.cores[c],
-                    &mut self.mem,
-                    &mut self.prof,
-                    &mut self.rng,
-                );
-                if done > 0 {
-                    let tx_ring = self.nics[nic].tx_ring(local);
-                    self.stack.tx_complete(&mut ctx, conn_id, tx_ring, done);
-                }
-                if acked > 0 {
-                    self.stack.rx_ack(&mut ctx, conn_id, acked, false);
-                }
-                if syn {
-                    syn_queued = self.stack.on_syn(&mut ctx, conn_id, false).queued;
-                }
-                if !frames.is_empty() {
-                    let rx_ring = self.nics[nic].rx_ring(local);
-                    self.stack
-                        .rx_bottom_half(&mut ctx, conn_id, frames, rx_ring, false);
-                }
-                if finack {
-                    self.stack.on_fin_ack(&mut ctx, conn_id, false);
-                }
-            }
-            if !frames.is_empty() {
-                self.peer_inflight[flow] =
-                    self.peer_inflight[flow].saturating_sub(frames.len() as u32);
-            }
-            let delta = self.cores[c].busy_cycles() - before;
-            self.clocks[c] += delta;
-            let counters = &mut self.poll.as_mut().expect("poll mode").counters[c];
-            counters.work_cycles += delta;
-            counters.rx_frames += frames.len() as u64;
-            self.last_softirq_cpu[flow] = Some(cpu);
-            self.last_process_cpu[flow] = Some(cpu);
-            if self.server.is_some() {
-                // Run to completion, lifecycle included: accept, consume
-                // the request, push response segments and the FIN, and
-                // retire the connection — all inline on this core.
-                if syn && !syn_queued {
-                    let now = self.clocks[c];
-                    self.server_syn_drop(flow, now);
-                    continue;
-                }
-                self.server_flow_progress(c, queue, flow, syn && syn_queued, finack);
-                if self.done {
-                    return;
-                }
-                continue;
-            }
-            // Run to completion: the application consumes right here.
-            if self.config.workload.direction == Direction::Rx && !frames.is_empty() {
-                self.poll_consume_rx(c, flow);
-                if self.done {
-                    return;
-                }
-                let now = self.clocks[c];
-                self.refill_peer_window(flow, now);
-            }
-        }
-    }
-
-    /// Inline `recvmsg` loop for a poll-mode flow: drain the socket on
-    /// this core until it is empty (or the run completes), crediting
-    /// message completions as they happen.
-    fn poll_consume_rx(&mut self, c: usize, flow: usize) {
-        let ti = self.task_of_conn[flow];
-        let conn_id = ConnectionId::new(flow as u32);
-        let msg = self.config.workload.message_bytes;
-        loop {
-            if self.stack.rx_available(conn_id) == 0 {
-                return;
-            }
-            let want = self.tasks[ti].remaining;
-            let before = self.cores[c].busy_cycles();
-            let got = {
-                let mut ctx = ExecCtx::new(
-                    &mut self.cores[c],
-                    &mut self.mem,
-                    &mut self.prof,
-                    &mut self.rng,
-                );
-                self.stack.recvmsg(&mut ctx, conn_id, want, false)
-            };
-            let delta = self.cores[c].busy_cycles() - before;
-            self.clocks[c] += delta;
-            self.poll.as_mut().expect("poll mode").counters[c].work_cycles += delta;
-            if got == 0 {
-                return;
-            }
-            let now = self.clocks[c];
-            let mut got = got;
-            while got >= self.tasks[ti].remaining {
-                got -= self.tasks[ti].remaining;
-                self.tasks[ti].remaining = msg;
-                self.on_message_complete(now);
-                if self.done {
-                    return;
-                }
-            }
-            self.tasks[ti].remaining -= got;
-        }
-    }
-
-    /// Inline `sendmsg` for a poll-mode flow: one chunk per poll
-    /// iteration (mirroring `step_tx` granularity), with segments handed
-    /// to the queue's SPSC tx ring and the device draining that ring
-    /// straight onto the serialized wire.
-    fn poll_send(&mut self, c: usize, queue: usize, flow: usize) {
-        let ti = self.task_of_conn[flow];
-        let conn_id = ConnectionId::new(flow as u32);
-        let mss = u64::from(self.config.stack.mss);
-        let buf_free = self
-            .config
-            .tunables
-            .send_buf_segments
-            .saturating_sub(self.stack.tx_inflight(conn_id));
-        let cwnd_free = self
-            .stack
-            .tx_window(conn_id)
-            .saturating_sub(self.stack.tx_unacked(conn_id));
-        let free_segs = buf_free.min(cwnd_free);
-        let chunk_bytes = (u64::from(free_segs) * mss).min(self.tasks[ti].remaining);
-        if chunk_bytes == 0 {
+    /// Charges `gap` cycles of empty busy-polling to PMD core `c`.
+    fn poll_spin(&mut self, c: usize, gap: u64) {
+        if gap == 0 {
             return;
         }
-        let before = self.cores[c].busy_cycles();
-        let segs = {
-            let mut ctx = ExecCtx::new(
-                &mut self.cores[c],
-                &mut self.mem,
-                &mut self.prof,
-                &mut self.rng,
-            );
-            let segs = self.stack.sendmsg(&mut ctx, conn_id, chunk_bytes, false);
-            let tx_ring = self.nics[self.queue_nic[queue]].tx_ring(self.queue_local[queue]);
-            for (i, &seg) in segs.iter().enumerate() {
-                self.stack
-                    .driver_tx(&mut ctx, conn_id, tx_ring, i as u64, seg);
-            }
-            segs
-        };
-        let delta = self.cores[c].busy_cycles() - before;
-        self.clocks[c] += delta;
-        {
-            let counters = &mut self.poll.as_mut().expect("poll mode").counters[c];
-            counters.work_cycles += delta;
-            counters.tx_frames += segs.len() as u64;
-        }
-        self.last_process_cpu[flow] = Some(CpuId::new(c as u32));
-        self.last_softirq_cpu[flow] = Some(CpuId::new(c as u32));
-
-        // Segments go through the SPSC tx ring to the device, which
-        // drains them immediately onto the wire, serialized per flow.
-        let now = self.clocks[c];
-        {
-            let plane = self.poll.as_mut().expect("poll mode");
-            for &seg in &segs {
-                plane.tx[queue]
-                    .push(TxDesc { flow, bytes: seg })
-                    .unwrap_or_else(|_| {
-                        panic!("poll tx ring overflow on queue {queue} — sizing invariant violated")
-                    });
-            }
-        }
-        let mut cursor = self.wire_cursor[flow].max(now);
-        loop {
-            let desc = {
-                let plane = self.poll.as_mut().expect("poll mode");
-                plane.tx[queue].pop()
-            };
-            let Some(TxDesc { flow, bytes }) = desc else {
-                break;
-            };
-            cursor += self.wire_time(bytes);
-            self.push_event(cursor, Event::WireTx { flow, bytes });
-        }
-        self.wire_cursor[flow] = cursor;
-
-        self.tasks[ti].remaining -= chunk_bytes;
-        if self.tasks[ti].remaining == 0 {
-            self.tasks[ti].remaining = self.config.workload.message_bytes;
-            self.on_message_complete(now);
-        }
-    }
-
-    /// Device-side event processing under the poll dataplane: arrivals
-    /// and completions DMA exactly like the interrupt path but push
-    /// descriptors onto SPSC rings instead of entering the coalescer —
-    /// no interrupt is ever asserted.
-    fn process_poll_event(&mut self) {
-        let Some((time, event)) = self.events.pop() else {
-            return;
-        };
-        let t = time.cycles();
-        match event {
-            Event::FrameArrival { flow, bytes } => {
-                let queue = self.flow_queue[flow];
-                self.nics[self.queue_nic[queue]].dma_rx_frame_polled(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    bytes,
-                );
-                let plane = self.poll.as_mut().expect("poll mode");
-                assert!(
-                    plane.pool[queue].try_alloc(),
-                    "poll mempool exhausted on queue {queue} — sizing invariant violated"
-                );
-                plane.rx[queue]
-                    .push(RxDesc::Data { flow, bytes, at: t })
-                    .unwrap_or_else(|_| {
-                        panic!("poll rx ring overflow on queue {queue} — sizing invariant violated")
-                    });
-            }
-            Event::AckArrival { flow, acked } => {
-                let queue = self.flow_queue[flow];
-                self.nics[self.queue_nic[queue]].dma_rx_frame_polled(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    66,
-                );
-                let plane = self.poll.as_mut().expect("poll mode");
-                assert!(
-                    plane.pool[queue].try_alloc(),
-                    "poll mempool exhausted on queue {queue} — sizing invariant violated"
-                );
-                plane.rx[queue]
-                    .push(RxDesc::Ack { flow, acked, at: t })
-                    .unwrap_or_else(|_| {
-                        panic!("poll rx ring overflow on queue {queue} — sizing invariant violated")
-                    });
-            }
-            Event::WireTx { flow, bytes } => {
-                let queue = self.flow_queue[flow];
-                let conn_id = ConnectionId::new(flow as u32);
-                let skb_data = self.stack.regions(conn_id).skb_data;
-                let off = self.tx_wire_offset[flow];
-                self.tx_wire_offset[flow] += u64::from(bytes);
-                self.nics[self.queue_nic[queue]].dma_tx_frame_polled(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    skb_data,
-                    off,
-                    bytes,
-                );
-                let plane = self.poll.as_mut().expect("poll mode");
-                plane.rx[queue]
-                    .push(RxDesc::TxDone { flow, at: t })
-                    .unwrap_or_else(|_| {
-                        panic!("poll rx ring overflow on queue {queue} — sizing invariant violated")
-                    });
-                if self.server.is_some() && bytes == 0 {
-                    // The zero-byte segment is the FIN (server teardown):
-                    // the client ACKs it one RTT out; no data-ACK logic.
-                    let jitter = self
-                        .rng
-                        .exponential(self.config.tunables.rtt_cycles as f64 / 4.0)
-                        as u64;
-                    self.push_event(
-                        t + self.config.tunables.rtt_cycles + jitter,
-                        Event::FinAckArrival { flow },
-                    );
-                    return;
-                }
-                if bytes > 0 && self.rng.chance(self.config.tunables.loss_rate) {
-                    self.push_event(
-                        t + self.config.tunables.rto_cycles,
-                        Event::RtoFire { flow, bytes },
-                    );
-                    return;
-                }
-                if self.peers[flow].on_data_segment().is_some() {
-                    let jitter = self
-                        .rng
-                        .exponential(self.config.tunables.rtt_cycles as f64 / 4.0)
-                        as u64;
-                    self.push_event(
-                        t + self.config.tunables.rtt_cycles + jitter,
-                        Event::AckArrival {
-                            flow,
-                            acked: self.config.stack.ack_every,
-                        },
-                    );
-                }
-            }
-            Event::RtoFire { flow, bytes } => {
-                // Retransmission runs on the flow's owning PMD core —
-                // run to completion, no timer softirq.
-                let queue = self.flow_queue[flow];
-                let c = self.poll.as_ref().expect("poll mode").cpu_of_queue[queue];
-                self.clocks[c] = self.clocks[c].max(t);
-                let conn_id = ConnectionId::new(flow as u32);
-                let before = self.cores[c].busy_cycles();
-                {
-                    let mut ctx = ExecCtx::new(
-                        &mut self.cores[c],
-                        &mut self.mem,
-                        &mut self.prof,
-                        &mut self.rng,
-                    );
-                    self.stack
-                        .retransmit_timeout(&mut ctx, conn_id, bytes, false);
-                }
-                let delta = self.cores[c].busy_cycles() - before;
-                self.clocks[c] += delta;
-                self.poll.as_mut().expect("poll mode").counters[c].work_cycles += delta;
-                let at = self.wire_cursor[flow].max(self.clocks[c]) + self.wire_time(bytes);
-                self.wire_cursor[flow] = at;
-                self.push_event(at, Event::WireTx { flow, bytes });
-            }
-            Event::ConnArrival => {
-                let Some(flow) = self.server_admit(t) else {
-                    return;
-                };
-                let queue = self.flow_queue[flow];
-                self.nics[self.queue_nic[queue]].dma_rx_frame_polled(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    66,
-                );
-                let plane = self.poll.as_mut().expect("poll mode");
-                assert!(
-                    plane.pool[queue].try_alloc(),
-                    "poll mempool exhausted on queue {queue} — sizing invariant violated"
-                );
-                plane.rx[queue]
-                    .push(RxDesc::Syn { flow, at: t })
-                    .unwrap_or_else(|_| {
-                        panic!("poll rx ring overflow on queue {queue} — sizing invariant violated")
-                    });
-            }
-            Event::FinAckArrival { flow } => {
-                let queue = self.flow_queue[flow];
-                self.nics[self.queue_nic[queue]].dma_rx_frame_polled(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    66,
-                );
-                let plane = self.poll.as_mut().expect("poll mode");
-                assert!(
-                    plane.pool[queue].try_alloc(),
-                    "poll mempool exhausted on queue {queue} — sizing invariant violated"
-                );
-                plane.rx[queue]
-                    .push(RxDesc::FinAck { flow, at: t })
-                    .unwrap_or_else(|_| {
-                        panic!("poll rx ring overflow on queue {queue} — sizing invariant violated")
-                    });
-            }
-            Event::CoalesceFlush { .. } | Event::IrqRotate | Event::LoadBalance => {
-                unreachable!("interrupt-plane event {event:?} scheduled under the poll dataplane")
-            }
-        }
+        self.cores[c].charge_spin_cycles(gap);
+        let plane = self.poll_plane();
+        let epc = plane.pmd.empty_poll_cycles;
+        let counters = &mut plane.counters[c];
+        counters.empty_polls += PmdCore::empty_polls_for_gap(gap, epc);
+        counters.spin_cycles += gap;
     }
 
     /// After the run completes, spin every PMD core forward to the last
@@ -1272,69 +836,24 @@ impl Machine {
     /// metric must see that burn.
     fn finish_poll_spin(&mut self) {
         let end = self.last_message_time;
-        let epc = self.poll.as_ref().expect("poll mode").pmd.empty_poll_cycles;
         for c in 0..self.config.cpus {
             let from = self.clocks[c].max(self.measure_start);
-            if end > from {
-                let gap = end - from;
-                self.cores[c].charge_spin_cycles(gap);
-                let counters = &mut self.poll.as_mut().expect("poll mode").counters[c];
-                counters.empty_polls += PmdCore::empty_polls_for_gap(gap, epc);
-                counters.spin_cycles += gap;
-            }
+            self.poll_spin(c, end.saturating_sub(from));
             self.clocks[c] = self.clocks[c].max(end);
         }
     }
 
-    fn seed_initial_work(&mut self) {
-        // Recurring load balancing — only if enabled. Linux 2.4 itself
-        // had no periodic balancer (idle stealing and wake placement did
-        // all the work); the event exists for the ablation benches.
-        if self.config.tunables.balance_interval_cycles > 0 {
-            self.push_event(
-                self.config.tunables.balance_interval_cycles,
-                Event::LoadBalance,
-            );
-        }
-        if self.config.tunables.irq_rotation_cycles > 0 {
-            self.push_event(self.config.tunables.irq_rotation_cycles, Event::IrqRotate);
-        }
-        match self.config.workload.direction {
-            Direction::Tx => {
-                // Wake every sender; placement spreads per policy.
-                for i in 0..self.tasks.len() {
-                    let task = self.tasks[i].task;
-                    let from = self
-                        .sched
-                        .task(task)
-                        .expect("spawned")
-                        .affinity
-                        .first()
-                        .expect("non-empty mask");
-                    let placement = self.sched.wake(task, from, false).expect("task exists");
-                    let _ = placement;
-                }
-            }
-            Direction::Rx => {
-                // Receivers start blocked on data; the peers start
-                // streaming into every NIC (the active working set only —
-                // provisioned-but-quiet flows never source a frame).
-                for i in 0..self.tasks.len() {
-                    self.tasks[i].blocked = Some(BlockReason::RxData);
-                }
-                for f in 0..self.streaming_conns() {
-                    self.refill_peer_window(f, 0);
-                }
-            }
-        }
-    }
-
-    /// Seeds a server-workload run: periodic timers (interrupt plane
-    /// only), every scheduler task parked forever — server process
-    /// context is charged directly on the connection's home CPU — and an
-    /// open-loop wave of connection arrivals with exponential gaps.
-    fn seed_server_work(&mut self) {
-        if self.poll.is_none() {
+    /// Seeds the run: the periodic timers (interrupt plane only — PMD
+    /// cores neither balance nor rotate vectors), then the workload.
+    /// ttcp senders are woken (a PMD core sends unwoken); receivers start
+    /// blocked with the peers streaming. A server workload parks every
+    /// task forever — server process context is charged directly on the
+    /// connection's home CPU — and opens a wave of connection arrivals.
+    fn seed_work(&mut self) {
+        if !self.polling() {
+            // Recurring load balancing — only if enabled. Linux 2.4 itself
+            // had no periodic balancer (idle stealing and wake placement
+            // did all the work); the event exists for the ablation benches.
             if self.config.tunables.balance_interval_cycles > 0 {
                 self.push_event(
                     self.config.tunables.balance_interval_cycles,
@@ -1345,9 +864,41 @@ impl Machine {
                 self.push_event(self.config.tunables.irq_rotation_cycles, Event::IrqRotate);
             }
         }
-        for ti in 0..self.tasks.len() {
-            self.tasks[ti].blocked = Some(BlockReason::RxData);
+        if self.server.is_none() && self.config.workload.direction == Direction::Tx {
+            if !self.polling() {
+                // Wake every sender; placement spreads per policy.
+                for i in 0..self.tasks.len() {
+                    let task = self.tasks[i].task;
+                    let from = self
+                        .sched
+                        .task(task)
+                        .expect("spawned")
+                        .affinity
+                        .first()
+                        .expect("non-empty mask");
+                    self.sched.wake(task, from, false).expect("task exists");
+                }
+            }
+            return;
         }
+        for task in &mut self.tasks {
+            task.blocked = Some(BlockReason::RxData);
+        }
+        if self.server.is_some() {
+            self.seed_arrivals();
+        } else {
+            // The peers start streaming into every NIC (the active
+            // working set only — provisioned-but-quiet flows never
+            // source a frame).
+            for f in 0..self.streaming_conns() {
+                self.refill_peer_window(f, 0);
+            }
+        }
+    }
+
+    /// The server workload's open-loop wave of connection arrivals, with
+    /// exponential gaps.
+    fn seed_arrivals(&mut self) {
         let (total, gap) = {
             let srv = self.server.as_ref().expect("server mode");
             (srv.workload.total_conns(), srv.workload.arrival_gap_cycles)
@@ -1460,11 +1011,25 @@ impl Machine {
             }
             self.run_since_sched[c] = 0;
         }
-        let task = self.sched.current(cpu).expect("running task");
-        let ti = task.index();
-        match self.config.workload.direction {
-            Direction::Tx => self.step_tx(c, ti),
-            Direction::Rx => self.step_rx(c, ti),
+        let ti = self.sched.current(cpu).expect("running task").index();
+        let flow = self.tasks[ti].conn;
+        // `write()` fills the send buffer until it is full, then blocks —
+        // the real ttcp dynamic that lets completions (and therefore
+        // interrupt affinity) steer where the process wakes up. `read()`
+        // blocks on an empty socket.
+        let blocked = match self.config.workload.direction {
+            Direction::Tx => (!self.send_chunk(c, flow)).then_some(BlockReason::TxSpace),
+            Direction::Rx if self.stack.rx_available(ConnectionId::new(flow as u32)) == 0 => {
+                Some(BlockReason::RxData)
+            }
+            Direction::Rx => {
+                self.recv_chunk(c, flow);
+                None
+            }
+        };
+        if blocked.is_some() {
+            self.tasks[ti].blocked = blocked;
+            self.sched.block_current(cpu);
         }
         // Timeslice expiry: 2.4-style global requeue (the expired task
         // resumes wherever capacity is — migration under asymmetric
@@ -1476,131 +1041,129 @@ impl Machine {
         }
     }
 
-    fn step_tx(&mut self, c: usize, ti: usize) {
-        let cpu = CpuId::new(c as u32);
-        let conn = self.tasks[ti].conn;
-        let msg = self.config.workload.message_bytes;
-        let conn_id = ConnectionId::new(conn as u32);
-        let mss = u64::from(self.config.stack.mss);
-
-        // `write()` fills the send buffer until it is full, then blocks —
-        // the real ttcp dynamic that lets completions (and therefore
-        // interrupt affinity) steer where the process wakes up.
-        let inflight = self.stack.tx_inflight(conn_id);
+    /// Free send room of `flow` in segments: the smaller of free
+    /// send-buffer space and what Reno's congestion window still allows
+    /// (cwnd binds on unACKed segments, not on device completions).
+    fn send_room(&self, flow: usize) -> u32 {
+        let conn_id = ConnectionId::new(flow as u32);
         let buf_free = self
             .config
             .tunables
             .send_buf_segments
-            .saturating_sub(inflight);
-        // The effective window is the smaller of free send-buffer space
-        // and what Reno's congestion window still allows (cwnd binds on
-        // unACKed segments, not on device completions).
+            .saturating_sub(self.stack.tx_inflight(conn_id));
         let cwnd_free = self
             .stack
             .tx_window(conn_id)
             .saturating_sub(self.stack.tx_unacked(conn_id));
-        let free_segs = buf_free.min(cwnd_free);
-        // Low-watermark blocking (like sock_wait_for_wmem): don't
-        // dribble one-segment writes when the buffer is nearly full.
-        // A ramping congestion window may legitimately be tiny, though.
-        let low_water = 8.min(self.stack.tx_window(conn_id) / 2).max(1);
-        if free_segs < low_water {
-            self.tasks[ti].blocked = Some(BlockReason::TxSpace);
-            self.sched.block_current(cpu);
-            return;
-        }
-        let remaining = self.tasks[ti].remaining;
-        let chunk_bytes = (u64::from(free_segs) * mss).min(remaining);
-
-        let cross = self.last_softirq_cpu[conn].is_some_and(|s| s != cpu);
-        let before = self.cores[c].busy_cycles();
-        let segs = {
-            let mut ctx = ExecCtx::new(
-                &mut self.cores[c],
-                &mut self.mem,
-                &mut self.prof,
-                &mut self.rng,
-            );
-            let segs = self.stack.sendmsg(&mut ctx, conn_id, chunk_bytes, cross);
-            let queue = self.flow_queue[conn];
-            let tx_ring = self.nics[self.queue_nic[queue]].tx_ring(self.queue_local[queue]);
-            for (i, &seg) in segs.iter().enumerate() {
-                self.stack
-                    .driver_tx(&mut ctx, conn_id, tx_ring, i as u64, seg);
-            }
-            segs
-        };
-        let delta = self.cores[c].busy_cycles() - before;
-        self.clocks[c] += delta;
-        self.sched.charge_current(cpu, delta);
-        self.run_since_sched[c] += delta;
-        self.last_process_cpu[conn] = Some(cpu);
-        self.steering.consumer_ran(conn, cpu, &mut self.steer_stats);
-
-        // Frames leave on the wire, serialized per NIC.
-        let now = self.clocks[c];
-        let mut cursor = self.wire_cursor[conn].max(now);
-        for &seg in &segs {
-            cursor += self.wire_time(seg);
-            self.push_event(
-                cursor,
-                Event::WireTx {
-                    flow: conn,
-                    bytes: seg,
-                },
-            );
-        }
-        self.wire_cursor[conn] = cursor;
-
-        self.tasks[ti].remaining -= chunk_bytes;
-        if self.tasks[ti].remaining == 0 {
-            self.tasks[ti].remaining = msg;
-            self.on_message_complete(now);
-        }
+        buf_free.min(cwnd_free)
     }
 
-    fn step_rx(&mut self, c: usize, ti: usize) {
-        let cpu = CpuId::new(c as u32);
-        let conn = self.tasks[ti].conn;
-        let conn_id = ConnectionId::new(conn as u32);
-        if self.stack.rx_available(conn_id) == 0 {
-            self.tasks[ti].blocked = Some(BlockReason::RxData);
-            self.sched.block_current(cpu);
-            return;
-        }
-        let cross = self.last_softirq_cpu[conn].is_some_and(|s| s != cpu);
-        let before = self.cores[c].busy_cycles();
-        let want = self.tasks[ti].remaining;
-        let got = {
-            let mut ctx = ExecCtx::new(
-                &mut self.cores[c],
-                &mut self.mem,
-                &mut self.prof,
-                &mut self.rng,
-            );
-            self.stack.recvmsg(&mut ctx, conn_id, want, cross)
-        };
-        let delta = self.cores[c].busy_cycles() - before;
-        self.clocks[c] += delta;
-        self.sched.charge_current(cpu, delta);
-        self.run_since_sched[c] += delta;
-        self.last_process_cpu[conn] = Some(cpu);
-        self.steering.consumer_ran(conn, cpu, &mut self.steer_stats);
+    /// The send room when it clears the low watermark, `None` when a
+    /// writer should wait instead (like `sock_wait_for_wmem`: don't
+    /// dribble one-segment writes into a nearly full buffer — though a
+    /// ramping congestion window may legitimately be tiny).
+    fn writable_room(&self, flow: usize) -> Option<u32> {
+        let room = self.send_room(flow);
+        let window = self.stack.tx_window(ConnectionId::new(flow as u32));
+        (room >= 8.min(window / 2).max(1)).then_some(room)
+    }
 
-        let now = self.clocks[c];
-        // Reading freed socket-buffer space: the advertised window opens.
-        self.refill_peer_window(conn, now);
-        let msg = self.config.workload.message_bytes;
-        let mut got = got;
-        while got >= self.tasks[ti].remaining {
-            got -= self.tasks[ti].remaining;
-            self.tasks[ti].remaining = msg;
-            self.on_message_complete(now);
-            if self.done {
-                return;
+    /// One `write()` of `flow`'s ttcp sender on CPU `c`: as much of the
+    /// message as the send room allows, with the segments queued on the
+    /// wire. Returns `false`, sending nothing, when the room is below the
+    /// low watermark.
+    fn send_chunk(&mut self, c: usize, flow: usize) -> bool {
+        let Some(room) = self.writable_room(flow) else {
+            return false;
+        };
+        let cpu = CpuId::new(c as u32);
+        let conn_id = ConnectionId::new(flow as u32);
+        let ti = self.task_of_conn[flow];
+        let chunk_bytes =
+            (u64::from(room) * u64::from(self.config.stack.mss)).min(self.tasks[ti].remaining);
+        let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+        let queue = self.flow_queue[flow];
+        let tx_ring = self.nics[self.queue_nic[queue]].tx_ring(self.queue_local[queue]);
+        let (segs, delta) = self.charge(c, self.clocks[c], |stack, ctx| {
+            let segs = stack.sendmsg(ctx, conn_id, chunk_bytes, cross);
+            for (i, &seg) in segs.iter().enumerate() {
+                stack.driver_tx(ctx, conn_id, tx_ring, i as u64, seg);
+            }
+            segs
+        });
+        self.last_process_cpu[flow] = Some(cpu);
+        match &mut self.plane {
+            Dataplane::Interrupt(_) => {
+                self.sched.charge_current(cpu, delta);
+                self.run_since_sched[c] += delta;
+                self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
+            }
+            Dataplane::Poll(plane) => {
+                plane.counters[c].tx_frames += segs.len() as u64;
+                self.last_softirq_cpu[flow] = Some(cpu);
+                // The segments cross the queue's SPSC tx ring to the
+                // device, which drains it onto the wire at once.
+                for &seg in &segs {
+                    plane.tx[queue].push(seg).unwrap_or_else(|_| {
+                        panic!("poll tx ring overflow on queue {queue} — sizing invariant violated")
+                    });
+                }
+                while plane.tx[queue].pop().is_some() {}
             }
         }
-        self.tasks[ti].remaining -= got;
+        let now = self.clocks[c];
+        self.put_on_wire(flow, &segs, now);
+        self.tasks[ti].remaining -= chunk_bytes;
+        if self.tasks[ti].remaining == 0 {
+            self.tasks[ti].remaining = self.config.workload.message_bytes;
+            self.on_message_complete(now);
+        }
+        true
+    }
+
+    /// One `read()` of `flow`'s ttcp receiver on CPU `c`, crediting every
+    /// message it completes; returns the bytes read.
+    fn recv_chunk(&mut self, c: usize, flow: usize) -> u64 {
+        let cpu = CpuId::new(c as u32);
+        let conn_id = ConnectionId::new(flow as u32);
+        let ti = self.task_of_conn[flow];
+        let want = self.tasks[ti].remaining;
+        let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+        let (got, delta) = self.charge(c, self.clocks[c], |stack, ctx| {
+            stack.recvmsg(ctx, conn_id, want, cross)
+        });
+        let now = self.clocks[c];
+        if !self.polling() {
+            self.sched.charge_current(cpu, delta);
+            self.run_since_sched[c] += delta;
+            self.last_process_cpu[flow] = Some(cpu);
+            self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
+            // Reading freed socket-buffer space: the advertised window
+            // opens.
+            self.refill_peer_window(flow, now);
+        }
+        let mut left = got;
+        while left >= self.tasks[ti].remaining {
+            left -= self.tasks[ti].remaining;
+            self.tasks[ti].remaining = self.config.workload.message_bytes;
+            self.on_message_complete(now);
+            if self.done {
+                return got;
+            }
+        }
+        self.tasks[ti].remaining -= left;
+        got
+    }
+
+    /// Queues `segs` on `flow`'s wire no earlier than `now`, serialized
+    /// behind whatever the flow already has in flight.
+    fn put_on_wire(&mut self, flow: usize, segs: &[u32], now: u64) {
+        let mut cursor = self.wire_cursor[flow].max(now);
+        for &bytes in segs {
+            cursor += self.wire_time(bytes);
+            self.push_event(cursor, Event::WireTx { flow, bytes });
+        }
+        self.wire_cursor[flow] = cursor;
     }
 
     fn process_event(&mut self) {
@@ -1610,68 +1173,32 @@ impl Machine {
         let t = time.cycles();
         match event {
             Event::FrameArrival { flow, bytes } => {
-                let queue = self.flow_queue[flow];
-                let raise = self.nics[self.queue_nic[queue]].dma_rx_frame(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    bytes,
-                    t,
-                );
-                self.flow_rx_pending[flow].push(bytes);
-                if self.server.is_some() {
-                    self.server_mark_pending(flow);
-                }
-                self.nic_activity[queue] = t;
-                if raise {
-                    self.deliver_interrupt(queue, t + self.config.tunables.irq_latency_cycles);
-                } else {
-                    self.arm_flush(queue, t);
-                }
+                self.device_rx(RxDesc::Data { flow, bytes, at: t });
             }
             Event::AckArrival { flow, acked } => {
-                let queue = self.flow_queue[flow];
-                let raise = self.nics[self.queue_nic[queue]].dma_rx_frame(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    66,
-                    t,
-                );
-                self.flow_ack_pending[flow] += acked;
-                self.flow_ack_frames[flow] += 1;
-                if self.server.is_some() {
-                    self.server_mark_pending(flow);
-                }
-                self.nic_activity[queue] = t;
-                if raise {
-                    self.deliver_interrupt(queue, t + self.config.tunables.irq_latency_cycles);
-                } else {
-                    self.arm_flush(queue, t);
+                self.device_rx(RxDesc::Ack { flow, acked, at: t });
+            }
+            Event::ConnArrival => {
+                if let Some(flow) = self.server_admit(t) {
+                    self.device_rx(RxDesc::Syn { flow, at: t });
                 }
             }
+            Event::FinAckArrival { flow } => self.device_rx(RxDesc::FinAck { flow, at: t }),
             Event::WireTx { flow, bytes } => {
                 let queue = self.flow_queue[flow];
-                let conn_id = ConnectionId::new(flow as u32);
-                let skb_data = self.stack.regions(conn_id).skb_data;
+                let skb_data = self.stack.regions(ConnectionId::new(flow as u32)).skb_data;
                 let off = self.tx_wire_offset[flow];
                 self.tx_wire_offset[flow] += u64::from(bytes);
-                let raise = self.nics[self.queue_nic[queue]].dma_tx_frame(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    skb_data,
-                    off,
-                    bytes,
-                    t,
-                );
-                self.flow_txdone_pending[flow] += 1;
-                if self.server.is_some() {
-                    self.server_mark_pending(flow);
-                }
-                self.nic_activity[queue] = t;
-                if raise {
-                    self.deliver_interrupt(queue, t + self.config.tunables.irq_latency_cycles);
+                let polling = self.polling();
+                let nic = &mut self.nics[self.queue_nic[queue]];
+                let local = self.queue_local[queue];
+                let raise = if polling {
+                    nic.dma_tx_frame_polled(local, &mut self.mem, skb_data, off, bytes);
+                    false
                 } else {
-                    self.arm_flush(queue, t);
-                }
+                    nic.dma_tx_frame(local, &mut self.mem, skb_data, off, bytes, t)
+                };
+                self.hand_off(queue, RxDesc::TxDone { flow, at: t }, raise);
                 if self.server.is_some() && bytes == 0 {
                     // The zero-byte segment is the FIN (server teardown):
                     // the client ACKs it one RTT out; no data-ACK logic.
@@ -1711,9 +1238,11 @@ impl Machine {
                 }
             }
             Event::CoalesceFlush { queue, armed_at } => {
-                self.flush_armed[queue] = false;
-                if self.nic_activity[queue] > armed_at {
-                    self.arm_flush(queue, self.nic_activity[queue]);
+                let irq = self.irq_plane();
+                irq.flush_armed[queue] = false;
+                let activity = irq.nic_activity[queue];
+                if activity > armed_at {
+                    self.arm_flush(queue, activity);
                 } else {
                     if self.nics[self.queue_nic[queue]].flush_coalescing(self.queue_local[queue]) {
                         self.deliver_interrupt(queue, t);
@@ -1738,31 +1267,24 @@ impl Machine {
                 }
             }
             Event::RtoFire { flow, bytes } => {
-                // Timer softirq runs on the vector's CPU: collapse the
-                // window, rebuild the segment, requeue it on the wire.
-                let vector = self.vectors[self.flow_queue[flow]];
-                let target = self.apic.route(vector);
-                let c = target.index();
-                self.clocks[c] = self.clocks[c].max(t);
+                // Collapse the window, rebuild the segment, requeue it on
+                // the wire — in the timer softirq on the vector's CPU, or
+                // run to completion on the queue's PMD core.
+                let queue = self.flow_queue[flow];
+                let c = match &self.plane {
+                    Dataplane::Interrupt(_) => self.apic.route(self.vectors[queue]).index(),
+                    Dataplane::Poll(plane) => plane.cpu_of_queue[queue],
+                };
                 let conn_id = ConnectionId::new(flow as u32);
-                let cross = self.last_process_cpu[flow].is_some_and(|p| p != target);
-                let before = self.cores[c].busy_cycles();
-                {
-                    let mut ctx = ExecCtx::new(
-                        &mut self.cores[c],
-                        &mut self.mem,
-                        &mut self.prof,
-                        &mut self.rng,
-                    );
-                    self.stack
-                        .retransmit_timeout(&mut ctx, conn_id, bytes, cross);
+                let cross = self.last_process_cpu[flow].is_some_and(|p| p.index() != c);
+                let ((), delta) = self.charge(c, t, |stack, ctx| {
+                    stack.retransmit_timeout(ctx, conn_id, bytes, cross);
+                });
+                if !self.polling() {
+                    self.irq_cycles[c] += delta;
                 }
-                let delta = self.cores[c].busy_cycles() - before;
-                self.clocks[c] += delta;
-                self.irq_cycles[c] += delta;
-                let at = self.wire_cursor[flow].max(self.clocks[c]) + self.wire_time(bytes);
-                self.wire_cursor[flow] = at;
-                self.push_event(at, Event::WireTx { flow, bytes });
+                let now = self.clocks[c];
+                self.put_on_wire(flow, &[bytes], now);
             }
             Event::LoadBalance => {
                 self.sched.load_balance();
@@ -1796,42 +1318,78 @@ impl Machine {
                     );
                 }
             }
-            Event::ConnArrival => {
-                let Some(flow) = self.server_admit(t) else {
-                    return;
-                };
-                let queue = self.flow_queue[flow];
-                let raise = self.nics[self.queue_nic[queue]].dma_rx_frame(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    66,
-                    t,
-                );
-                self.server.as_mut().expect("server mode").syn_pending[flow] = true;
-                self.server_mark_pending(flow);
-                self.nic_activity[queue] = t;
+        }
+    }
+
+    /// A frame from the wire reaches its flow's queue: the device DMAs it
+    /// (a bare 66-byte header for ACK, SYN and FIN-ACK frames) and hands
+    /// the completion to the dataplane.
+    fn device_rx(&mut self, desc: RxDesc) {
+        let bytes = match desc {
+            RxDesc::Data { bytes, .. } => bytes,
+            _ => 66,
+        };
+        let queue = self.flow_queue[desc.flow()];
+        let polling = self.polling();
+        let nic = &mut self.nics[self.queue_nic[queue]];
+        let local = self.queue_local[queue];
+        let raise = if polling {
+            nic.dma_rx_frame_polled(local, &mut self.mem, bytes);
+            false
+        } else {
+            nic.dma_rx_frame(local, &mut self.mem, bytes, desc.at())
+        };
+        self.hand_off(queue, desc, raise);
+    }
+
+    /// Hands a DMA'd completion to the dataplane. The interrupt plane
+    /// stages it for the queue's next bottom half, then raises the vector
+    /// (when moderation lets the event through) or arms the moderation
+    /// timer. The poll plane pins a mempool buffer for it and pushes the
+    /// descriptor onto the queue's SPSC ring for the owning PMD core.
+    fn hand_off(&mut self, queue: usize, desc: RxDesc, raise: bool) {
+        let t = desc.at();
+        match &mut self.plane {
+            Dataplane::Poll(plane) => {
+                if desc.pins_buffer() {
+                    assert!(
+                        plane.pool[queue].try_alloc(),
+                        "poll mempool exhausted on queue {queue} — sizing invariant violated"
+                    );
+                }
+                plane.rx[queue].push(desc).unwrap_or_else(|_| {
+                    panic!("poll rx ring overflow on queue {queue} — sizing invariant violated")
+                });
+            }
+            Dataplane::Interrupt(irq) => {
+                irq.nic_activity[queue] = t;
+                self.stage(desc);
+                if self.server.is_some() {
+                    self.server_mark_pending(desc.flow());
+                }
                 if raise {
                     self.deliver_interrupt(queue, t + self.config.tunables.irq_latency_cycles);
                 } else {
                     self.arm_flush(queue, t);
                 }
             }
-            Event::FinAckArrival { flow } => {
-                let queue = self.flow_queue[flow];
-                let raise = self.nics[self.queue_nic[queue]].dma_rx_frame(
-                    self.queue_local[queue],
-                    &mut self.mem,
-                    66,
-                    t,
-                );
+        }
+    }
+
+    /// Stages a completion as work for its flow's next bottom half.
+    fn stage(&mut self, desc: RxDesc) {
+        match desc {
+            RxDesc::Data { flow, bytes, .. } => self.flow_rx_pending[flow].push(bytes),
+            RxDesc::Ack { flow, acked, .. } => {
+                self.flow_ack_pending[flow] += acked;
+                self.flow_ack_frames[flow] += 1;
+            }
+            RxDesc::TxDone { flow, .. } => self.flow_txdone_pending[flow] += 1,
+            RxDesc::Syn { flow, .. } => {
+                self.server.as_mut().expect("server mode").syn_pending[flow] = true;
+            }
+            RxDesc::FinAck { flow, .. } => {
                 self.server.as_mut().expect("server mode").finack_pending[flow] = true;
-                self.server_mark_pending(flow);
-                self.nic_activity[queue] = t;
-                if raise {
-                    self.deliver_interrupt(queue, t + self.config.tunables.irq_latency_cycles);
-                } else {
-                    self.arm_flush(queue, t);
-                }
             }
         }
     }
@@ -1884,19 +1442,7 @@ impl Machine {
         }
 
         // Top half.
-        {
-            let mut ctx = ExecCtx::new(
-                &mut self.cores[c],
-                &mut self.mem,
-                &mut self.prof,
-                &mut self.rng,
-            );
-            self.stack.irq_top_half(&mut ctx, vector);
-        }
-        self.clocks[c] += self.cores[c].busy_cycles()
-            - irq_start
-            - self.config.tunables.clears_per_device_interrupt as u64
-                * self.config.cpu.costs.machine_clear;
+        self.charge(c, t, |stack, ctx| stack.irq_top_half(ctx, vector));
 
         // Bottom half runs right here, on the same CPU. Saturating: a
         // server-mode completion inside the bottom half can start the
@@ -1978,7 +1524,7 @@ impl Machine {
                 }
             }
             for flow in pending {
-                self.run_flow_bottom_half(c, queue, flow);
+                self.flow_bottom_half(c, queue, flow);
             }
             return;
         }
@@ -1993,17 +1539,24 @@ impl Machine {
             if flow >= streaming {
                 break;
             }
-            self.run_flow_bottom_half(c, queue, flow);
+            self.flow_bottom_half(c, queue, flow);
         }
     }
 
-    fn run_flow_bottom_half(&mut self, c: usize, queue: usize, flow: usize) {
+    /// One flow's share of a bottom half on CPU `c`, for both dataplanes:
+    /// retire tx completions, absorb ACKs, take a SYN, receive data
+    /// frames and a FIN-ACK — everything staged since the flow's last
+    /// pass — then hand the flow to its consumer. The interrupt plane
+    /// IPIs a remote process CPU and wakes the blocked task; the poll
+    /// plane runs the consumer inline (its process context is always
+    /// this core, so nothing here ever crosses CPUs).
+    fn flow_bottom_half(&mut self, c: usize, queue: usize, flow: usize) {
         let cpu = CpuId::new(c as u32);
         let nic = self.queue_nic[queue];
         let local = self.queue_local[queue];
+        let (tx_ring, rx_ring) = (self.nics[nic].tx_ring(local), self.nics[nic].rx_ring(local));
         let conn_id = ConnectionId::new(flow as u32);
         let cross = self.last_process_cpu[flow].is_some_and(|p| p != cpu);
-        let before = self.cores[c].busy_cycles();
 
         let txdone = std::mem::take(&mut self.flow_txdone_pending[flow]);
         let acked = std::mem::take(&mut self.flow_ack_pending[flow]);
@@ -2017,61 +1570,46 @@ impl Machine {
             None => (false, false),
         };
 
-        let mut wake_consumer = false;
-        let mut syn_queued = false;
-        {
-            let mut ctx = ExecCtx::new(
-                &mut self.cores[c],
-                &mut self.mem,
-                &mut self.prof,
-                &mut self.rng,
-            );
+        let (syn_queued, _) = self.charge(c, self.clocks[c], |stack, ctx| {
             if txdone > 0 {
-                let tx_ring = self.nics[nic].tx_ring(local);
-                self.stack.tx_complete(&mut ctx, conn_id, tx_ring, txdone);
+                stack.tx_complete(ctx, conn_id, tx_ring, txdone);
             }
             if acked > 0 {
-                self.stack.rx_ack(&mut ctx, conn_id, acked, cross);
+                stack.rx_ack(ctx, conn_id, acked, cross);
             }
-            if syn {
-                syn_queued = self.stack.on_syn(&mut ctx, conn_id, cross).queued;
-            }
+            let syn_queued = syn && stack.on_syn(ctx, conn_id, cross).queued;
             if !frames.is_empty() {
-                let rx_ring = self.nics[nic].rx_ring(local);
-                let outcome = self
-                    .stack
-                    .rx_bottom_half(&mut ctx, conn_id, &frames, rx_ring, cross);
-                wake_consumer = outcome.wake_consumer;
+                stack.rx_bottom_half(ctx, conn_id, &frames, rx_ring, cross);
             }
             if finack {
-                self.stack.on_fin_ack(&mut ctx, conn_id, cross);
+                stack.on_fin_ack(ctx, conn_id, cross);
+            }
+            syn_queued
+        });
+        let rx_frames = frames.len() as u32;
+        self.peer_inflight[flow] = self.peer_inflight[flow].saturating_sub(rx_frames);
+        match &mut self.plane {
+            // The driver reclaims the rx descriptors it consumed (ACK,
+            // SYN, FIN-ACK and data frames alike).
+            Dataplane::Interrupt(_) => self.nics[nic].reclaim_rx(
+                local,
+                ack_frames + u32::from(syn) + u32::from(finack) + rx_frames,
+            ),
+            // The PMD freed its buffers at dequeue; process context is
+            // this core.
+            Dataplane::Poll(plane) => {
+                plane.counters[c].rx_frames += u64::from(rx_frames);
+                self.last_process_cpu[flow] = Some(cpu);
             }
         }
-        if ack_frames > 0 {
-            self.nics[nic].reclaim_rx(local, ack_frames);
-        }
-        if syn || finack {
-            // The SYN and FIN-ACK frames each consumed one rx buffer.
-            self.nics[nic].reclaim_rx(local, u32::from(syn) + u32::from(finack));
-        }
-        if !frames.is_empty() {
-            self.nics[nic].reclaim_rx(local, frames.len() as u32);
-            self.peer_inflight[flow] = self.peer_inflight[flow].saturating_sub(frames.len() as u32);
-        }
-        let delta = self.cores[c].busy_cycles() - before;
-        self.clocks[c] += delta;
         // Out-of-order-completion signature (Wu et al.): data frames of
         // this flow completing on a different CPU than the previous
         // batch means the in-window ordering the consumer observes can
         // interleave — the reordering pathology of directed steering
         // migrating a flow mid-window. Tracked for every policy so
         // sweeps can compare.
-        if !frames.is_empty() {
-            if let Some(prev) = self.last_softirq_cpu[flow] {
-                if prev != cpu {
-                    self.steer_stats.ooo_completions += frames.len() as u64;
-                }
-            }
+        if rx_frames > 0 && self.last_softirq_cpu[flow].is_some_and(|prev| prev != cpu) {
+            self.steer_stats.ooo_completions += u64::from(rx_frames);
         }
         self.last_softirq_cpu[flow] = Some(cpu);
         let now = self.clocks[c];
@@ -2080,7 +1618,7 @@ impl Machine {
         // the CPU that owns the process context (the paper's IPI story):
         // the bottom half ran here, the connection's process runs there.
         if let Some(proc_cpu) = self.last_process_cpu[flow] {
-            if proc_cpu != cpu && (!frames.is_empty() || acked > 0) {
+            if proc_cpu != cpu && (rx_frames > 0 || acked > 0) {
                 self.deliver_ipi(cpu, proc_cpu, IpiKind::FunctionCall, now);
             }
         }
@@ -2088,20 +1626,31 @@ impl Machine {
         if self.server.is_some() {
             // Server lifecycle: process context runs now, charged on the
             // connection's home CPU — no scheduler task to wake.
-            let _ = wake_consumer;
             if syn && !syn_queued {
                 self.server_syn_drop(flow, now);
-                return;
+            } else {
+                self.server_flow_progress(c, queue, flow, syn, finack);
             }
-            self.server_flow_progress(c, queue, flow, syn && syn_queued, finack);
             return;
         }
 
+        let rx_data = self.config.workload.direction == Direction::Rx && rx_frames > 0;
+        if self.polling() {
+            // Run to completion: the application drains the socket right
+            // here, then the advertised window reopens.
+            if rx_data {
+                while self.stack.rx_available(conn_id) > 0
+                    && self.recv_chunk(c, flow) > 0
+                    && !self.done
+                {}
+                self.refill_peer_window(flow, self.clocks[c]);
+            }
+            return;
+        }
         // Keep the peer's window full (RX workload).
-        if self.config.workload.direction == Direction::Rx && !frames.is_empty() {
+        if rx_data {
             self.refill_peer_window(flow, now);
         }
-
         // Wake whoever was blocked on this connection.
         let ti = self.task_of_conn[flow];
         let should_wake = match self.tasks[ti].blocked {
@@ -2116,7 +1665,6 @@ impl Machine {
             Some(BlockReason::RxData) => self.stack.rx_available(conn_id) > 0,
             None => false,
         };
-        let _ = wake_consumer;
         if should_wake {
             self.wake_task(ti, c, now);
         }
@@ -2132,39 +1680,41 @@ impl Machine {
     /// the worker runs wherever the softirq just ran. Poll mode always
     /// runs to completion on the owning PMD core.
     fn server_proc_cpu(&self, flow: usize, softirq_cpu: usize) -> usize {
-        if self.poll.is_none() && self.pin_processes {
+        if self.pin_processes && !self.polling() {
             flow % self.config.cpus
         } else {
             softirq_cpu
         }
     }
 
-    /// Charges one process-context stack operation on CPU `pc`, pulling
-    /// its clock forward to `from` first (the softirq that staged the
-    /// work has already finished there).
-    fn server_charge<R>(
+    /// Runs one stack operation on CPU `c`, pulling its clock forward to
+    /// `from` first (whatever staged the work has finished by then), and
+    /// advances the clock by the busy cycles it cost — which a PMD core
+    /// also books as useful work. Returns the operation's result and its
+    /// cost in cycles.
+    fn charge<R>(
         &mut self,
-        pc: usize,
+        c: usize,
         from: u64,
         f: impl FnOnce(&mut TcpStack, &mut ExecCtx<'_>) -> R,
-    ) -> R {
-        self.clocks[pc] = self.clocks[pc].max(from);
-        let before = self.cores[pc].busy_cycles();
+    ) -> (R, u64) {
+        self.clocks[c] = self.clocks[c].max(from);
+        let before = self.cores[c].busy_cycles();
         let r = {
             let mut ctx = ExecCtx::new(
-                &mut self.cores[pc],
+                &mut self.cores[c],
                 &mut self.mem,
                 &mut self.prof,
                 &mut self.rng,
             );
             f(&mut self.stack, &mut ctx)
         };
-        let delta = self.cores[pc].busy_cycles() - before;
-        self.clocks[pc] += delta;
-        if let Some(plane) = self.poll.as_mut() {
-            plane.counters[pc].work_cycles += delta;
+        let delta = self.cores[c].busy_cycles() - before;
+        self.clocks[c] += delta;
+        if let Dataplane::Poll(plane) = &mut self.plane {
+            plane.counters[c].work_cycles += delta;
         }
-        r
+        (r, delta)
     }
 
     /// The stack refused a SYN (listen backlog full): free the slot the
@@ -2209,9 +1759,7 @@ impl Machine {
         let cpu = CpuId::new(pc as u32);
         let cross = pc != c;
         let now = self.clocks[c];
-        self.server_charge(pc, now, |stack, ctx| {
-            stack.accept(ctx, conn_id, cross);
-        });
+        self.charge(pc, now, |stack, ctx| stack.accept(ctx, conn_id, cross));
         self.last_process_cpu[flow] = Some(cpu);
         self.steering.flow_opened(flow, cpu, &mut self.steer_stats);
         let measuring = self.measuring;
@@ -2260,7 +1808,7 @@ impl Machine {
             let cpu = CpuId::new(pc as u32);
             let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
             let now = self.clocks[c];
-            let got = self.server_charge(pc, now, |stack, ctx| {
+            let (got, _) = self.charge(pc, now, |stack, ctx| {
                 stack.recvmsg(ctx, conn_id, want, cross)
             });
             self.last_process_cpu[flow] = Some(cpu);
@@ -2291,16 +1839,7 @@ impl Machine {
             .response_remaining[flow];
         if remaining > 0 {
             let mss = u64::from(self.config.stack.mss);
-            let buf_free = self
-                .config
-                .tunables
-                .send_buf_segments
-                .saturating_sub(self.stack.tx_inflight(conn_id));
-            let cwnd_free = self
-                .stack
-                .tx_window(conn_id)
-                .saturating_sub(self.stack.tx_unacked(conn_id));
-            let chunk = (u64::from(buf_free.min(cwnd_free)) * mss).min(remaining);
+            let chunk = (u64::from(self.send_room(flow)) * mss).min(remaining);
             if chunk == 0 {
                 return; // window closed; the next ACK/TxDone reopens it
             }
@@ -2311,7 +1850,7 @@ impl Machine {
             let nic = self.queue_nic[queue];
             let local = self.queue_local[queue];
             let tx_ring = self.nics[nic].tx_ring(local);
-            let segs = self.server_charge(pc, now, |stack, ctx| {
+            let (segs, _) = self.charge(pc, now, |stack, ctx| {
                 let segs = stack.sendmsg(ctx, conn_id, chunk, cross);
                 for (i, &seg) in segs.iter().enumerate() {
                     stack.driver_tx(ctx, conn_id, tx_ring, i as u64, seg);
@@ -2320,13 +1859,7 @@ impl Machine {
             });
             self.last_process_cpu[flow] = Some(cpu);
             self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
-            let sent_at = self.clocks[pc];
-            let mut cursor = self.wire_cursor[flow].max(sent_at);
-            for &seg in &segs {
-                cursor += self.wire_time(seg);
-                self.push_event(cursor, Event::WireTx { flow, bytes: seg });
-            }
-            self.wire_cursor[flow] = cursor;
+            self.put_on_wire(flow, &segs, self.clocks[pc]);
             let srv = self.server.as_mut().expect("server mode");
             srv.response_remaining[flow] -= chunk;
             return;
@@ -2341,13 +1874,9 @@ impl Machine {
             let cpu = CpuId::new(pc as u32);
             let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
             let now = self.clocks[c];
-            self.server_charge(pc, now, |stack, ctx| {
-                stack.send_fin(ctx, conn_id, cross);
-            });
+            self.charge(pc, now, |stack, ctx| stack.send_fin(ctx, conn_id, cross));
             self.last_process_cpu[flow] = Some(cpu);
-            let at = self.wire_cursor[flow].max(self.clocks[pc]) + self.wire_time(0);
-            self.wire_cursor[flow] = at;
-            self.push_event(at, Event::WireTx { flow, bytes: 0 });
+            self.put_on_wire(flow, &[0], self.clocks[pc]);
         }
     }
 
@@ -2499,7 +2028,7 @@ impl Machine {
         for nic in &mut self.nics {
             nic.reset_stats();
         }
-        if let Some(plane) = &mut self.poll {
+        if let Dataplane::Poll(plane) = &mut self.plane {
             plane.reset_counters();
         }
         if let Some(srv) = &mut self.server {
@@ -2590,7 +2119,7 @@ impl Machine {
     #[must_use]
     pub fn poll_stats(&self) -> PollCounters {
         let mut total = PollCounters::default();
-        if let Some(plane) = &self.poll {
+        if let Dataplane::Poll(plane) = &self.plane {
             for c in &plane.counters {
                 total.merge(c);
             }
@@ -2601,10 +2130,10 @@ impl Machine {
     /// Busy-poll counters per CPU (empty under the interrupt dataplane).
     #[must_use]
     pub fn poll_stats_per_cpu(&self) -> Vec<PollCounters> {
-        self.poll
-            .as_ref()
-            .map(|plane| plane.counters.clone())
-            .unwrap_or_default()
+        match &self.plane {
+            Dataplane::Poll(plane) => plane.counters.clone(),
+            Dataplane::Interrupt(_) => Vec::new(),
+        }
     }
 
     /// Name of the active steering policy.

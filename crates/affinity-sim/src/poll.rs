@@ -69,6 +69,17 @@ pub(crate) enum RxDesc {
 }
 
 impl RxDesc {
+    /// The flow this descriptor completes work for.
+    pub(crate) fn flow(&self) -> usize {
+        match *self {
+            RxDesc::Data { flow, .. }
+            | RxDesc::Ack { flow, .. }
+            | RxDesc::TxDone { flow, .. }
+            | RxDesc::Syn { flow, .. }
+            | RxDesc::FinAck { flow, .. } => flow,
+        }
+    }
+
     /// Cycle the device enqueued this descriptor (the earliest a PMD
     /// core can observe it).
     pub(crate) fn at(&self) -> u64 {
@@ -87,15 +98,6 @@ impl RxDesc {
     }
 }
 
-/// A transmit descriptor the PMD core hands to the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TxDesc {
-    /// Flow the segment belongs to.
-    pub flow: usize,
-    /// Segment payload bytes.
-    pub bytes: u32,
-}
-
 /// All poll-dataplane state: rings, pools, core ownership, counters.
 #[derive(Debug)]
 pub(crate) struct PollPlane {
@@ -107,8 +109,9 @@ pub(crate) struct PollPlane {
     pub cpu_of_queue: Vec<usize>,
     /// Per-queue rx/completion descriptor ring (device → PMD).
     pub rx: Vec<SpscRing<RxDesc>>,
-    /// Per-queue tx descriptor ring (PMD → device).
-    pub tx: Vec<SpscRing<TxDesc>>,
+    /// Per-queue tx descriptor ring (PMD → device), one entry per
+    /// segment, carrying its payload bytes.
+    pub tx: Vec<SpscRing<u32>>,
     /// Per-queue rx buffer pool.
     pub pool: Vec<Mempool>,
     /// Per-CPU poll accounting (measurement window).
