@@ -101,12 +101,15 @@ fn ablate_line_size(c: &mut Criterion) {
     group.finish();
 }
 
+/// A named tweak applied to the base configuration.
+type Policy = (&'static str, fn(&mut ExperimentConfig));
+
 /// Interrupt-steering policy sweep: static CPU0 vs 2.6 rotation vs
 /// RSS-style dynamic steering (the conclusion's future hardware).
 fn ablate_steering(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_steering");
     group.sample_size(10);
-    let policies: [(&str, fn(&mut ExperimentConfig)); 3] = [
+    let policies: [Policy; 3] = [
         ("static_cpu0", |_| {}),
         ("rotation", |c| c.tunables.irq_rotation_cycles = 3_000_000),
         ("rss_dynamic", |c| {

@@ -280,8 +280,7 @@ pub fn latest_history_entry(
 ) -> Option<HistoryEntry> {
     scan_history(path, benchmark_prefix)
         .into_iter()
-        .filter(|row| threads.is_none_or(|n| n == row.threads))
-        .last()
+        .rfind(|row| threads.is_none_or(|n| n == row.threads))
 }
 
 /// Returns the newest matching history entry **per recorded worker

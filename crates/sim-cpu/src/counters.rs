@@ -214,12 +214,14 @@ mod tests {
 
     #[test]
     fn derived_ratios() {
-        let mut c = PerfCounters::default();
-        c.cycles = 500;
-        c.instructions = 100;
-        c.llc_misses = 2;
-        c.branches = 20;
-        c.br_mispredicts = 1;
+        let c = PerfCounters {
+            cycles: 500,
+            instructions: 100,
+            llc_misses: 2,
+            branches: 20,
+            br_mispredicts: 1,
+            ..PerfCounters::default()
+        };
         assert!((c.cpi() - 5.0).abs() < 1e-12);
         assert!((c.mpi() - 0.02).abs() < 1e-12);
         assert!((c.branch_fraction() - 0.2).abs() < 1e-12);

@@ -58,10 +58,8 @@ proptest! {
                 "task placed outside its mask"
             );
             // Drain sometimes to exercise pick/block.
-            if affine {
-                if s.current(from).is_none() && s.pick_next(from).is_some() {
-                    s.block_current(from);
-                }
+            if affine && s.current(from).is_none() && s.pick_next(from).is_some() {
+                s.block_current(from);
             }
         }
         // Conservation: every task is exactly one of queued/running/blocked.

@@ -353,7 +353,7 @@ mod tests {
     fn nonzero_on_is_ascending_across_words() {
         let mut reg = FunctionRegistry::new();
         let funcs: Vec<_> = (0..200)
-            .map(|i| reg.register(&format!("f{i}"), "G"))
+            .map(|i| reg.register(format!("f{i}"), "G"))
             .collect();
         let mut p = Profiler::new(1);
         // Record out of order, spanning several 64-bit words and a grow.
@@ -379,7 +379,7 @@ mod tests {
         p.record(CpuId::new(1), first, &delta(7, 1));
         // Force several stride growths.
         for i in 1..300 {
-            let f = reg.register(&format!("f{i}"), "G");
+            let f = reg.register(format!("f{i}"), "G");
             p.record(CpuId::new(0), f, &delta(1, 0));
         }
         assert_eq!(p.counters(CpuId::new(1), first).cycles, 7);
@@ -425,7 +425,7 @@ mod tests {
     fn scratch_overflow_spills_to_profiler() {
         let mut reg = FunctionRegistry::new();
         let funcs: Vec<_> = (0..ProfScratch::CAPACITY + 4)
-            .map(|i| reg.register(&format!("f{i}"), "G"))
+            .map(|i| reg.register(format!("f{i}"), "G"))
             .collect();
         let mut p = Profiler::new(1);
         let mut s = ProfScratch::new(CpuId::new(0));
