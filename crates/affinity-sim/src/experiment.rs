@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use sim_core::Result;
 use sim_cpu::CpuConfig;
-use sim_mem::MemoryConfig;
+use sim_mem::{MemoryConfig, MAX_CPUS};
 use sim_net::NicConfig;
 use sim_prof::{FunctionRegistry, PollCounters, Profiler, SteerCounters};
 use sim_tcp::StackConfig;
@@ -234,10 +234,13 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is outside `1..=64` or `flows` is zero.
+    /// Panics if `cpus` is outside `1..=`[`MAX_CPUS`] or `flows` is zero.
     #[must_use]
     pub fn scale(direction: Direction, cpus: usize, flows: usize, mode: AffinityMode) -> Self {
-        assert!((1..=64).contains(&cpus), "scale supports 1..=64 CPUs");
+        assert!(
+            (1..=MAX_CPUS).contains(&cpus),
+            "scale supports 1..={MAX_CPUS} CPUs"
+        );
         assert!(flows > 0, "need at least one flow");
         let mut config = ExperimentConfig::paper_sut(direction, 4096, mode);
         config.cpus = cpus;
@@ -256,10 +259,13 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is outside `1..=64` or `flows` is zero.
+    /// Panics if `cpus` is outside `1..=`[`MAX_CPUS`] or `flows` is zero.
     #[must_use]
     pub fn steer_sweep(direction: Direction, cpus: usize, flows: usize, spec: SteerSpec) -> Self {
-        assert!((1..=64).contains(&cpus), "steer_sweep supports 1..=64 CPUs");
+        assert!(
+            (1..=MAX_CPUS).contains(&cpus),
+            "steer_sweep supports 1..={MAX_CPUS} CPUs"
+        );
         assert!(flows > 0, "need at least one flow");
         let mut config = ExperimentConfig::paper_sut(direction, 4096, AffinityMode::Irq);
         config.cpus = cpus;
@@ -281,7 +287,7 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is outside `1..=64` or `flows` is zero.
+    /// Panics if `cpus` is outside `1..=`[`MAX_CPUS`] or `flows` is zero.
     #[must_use]
     pub fn poll_sweep(direction: Direction, cpus: usize, flows: usize) -> Self {
         let spec = SteerSpec {
@@ -306,7 +312,7 @@ impl ExperimentConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is outside `1..=64` or `flows` is zero.
+    /// Panics if `cpus` is outside `1..=`[`MAX_CPUS`] or `flows` is zero.
     #[must_use]
     pub fn churn(cpus: usize, flows: usize, spec: SteerSpec, dataplane: DataplaneMode) -> Self {
         let server = ServerWorkload::churn(flows as u64);
@@ -428,6 +434,22 @@ mod tests {
         let four = ExperimentConfig::four_processor(Direction::Tx, 65536, AffinityMode::None);
         assert_eq!(four.cpus, 4);
         assert_eq!(four.nics, 8);
+    }
+
+    #[test]
+    fn more_cpus_than_sharer_mask_bits_is_a_config_error() {
+        // The widest supported machine builds; one CPU more is an error,
+        // not a panic inside the memory system or a silently aliased CPU.
+        let widest = ExperimentConfig::scale(Direction::Rx, MAX_CPUS, 64, AffinityMode::Rss);
+        assert!(Machine::new(&widest).is_ok());
+        let mut over = widest.clone();
+        over.cpus = MAX_CPUS + 1;
+        over.nics = MAX_CPUS + 1;
+        over.mem = MemoryConfig::paper_sut(MAX_CPUS + 1);
+        assert!(Machine::new(&over).is_err());
+        let mut mem_only = widest;
+        mem_only.mem.cpus = MAX_CPUS + 1;
+        assert!(Machine::new(&mem_only).is_err());
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //! with an event), and the consumer and accounting tail.
 
 use sim_core::{
-    ConnectionId, CpuId, DeviceId, IrqVector, Result, ShardedEventQueue, SimRng, SimTime, TaskId,
+    ConnectionId, CpuId, DeviceId, IrqVector, Result, ShardedEventQueue, SimError, SimRng, SimTime,
+    TaskId,
 };
 use sim_cpu::{ClearReason, Core, PerfCounters};
-use sim_mem::MemorySystem;
+use sim_mem::{MemorySystem, MAX_CPUS};
 use sim_net::{Nic, Peer, PeerConfig};
 use sim_os::{CpuMask, IoApic, IpiFabric, IpiKind, PmdCore, Scheduler, SchedulerConfig};
 use sim_prof::{FuncId, PollCounters, Profiler, SteerCounters};
@@ -258,14 +259,17 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns a configuration error if the stack config is invalid or
-    /// an affinity mask cannot be applied.
+    /// Returns a configuration error if the CPU count is outside
+    /// `1..=`[`MAX_CPUS`], the memory or stack config is invalid, or an
+    /// affinity mask cannot be applied.
     pub fn new(config: &ExperimentConfig) -> Result<Self> {
         let cpus = config.cpus;
-        assert!(
-            (1..=64).contains(&cpus),
-            "machine supports 1..=64 CPUs (cpumask and ready-set words), got {cpus}"
-        );
+        if !(1..=MAX_CPUS).contains(&cpus) {
+            return Err(SimError::config(format!(
+                "machine supports 1..={MAX_CPUS} CPUs, got {cpus}"
+            )));
+        }
+        config.mem.validate()?;
         let nics_n = config.nics;
         let flows = config.connections;
         assert!(flows > 0, "machine needs at least one connection");

@@ -30,7 +30,7 @@ fn churn_config() -> ExperimentConfig {
 }
 
 /// One full `Machine::new` per iteration: region provisioning (6 regions
-/// per flow), directory/page/summary sizing, arena + task + peer setup.
+/// per flow), directory/page/generation sizing, arena + task + peer setup.
 fn bench_build_churn_machine(c: &mut Criterion) {
     let config = churn_config();
     let mut group = c.benchmark_group("construction");

@@ -13,8 +13,8 @@ const CPU0: CpuId = CpuId::new(0);
 const CPU1: CpuId = CpuId::new(1);
 
 /// Repeated reads of an L1-resident connection context: after the first
-/// two touches the residency summary engages and every iteration should
-/// replay by slot (no directory traffic, no set scans).
+/// two touches the whole-region residency claim engages and every
+/// iteration should replay by slot (no directory traffic, no set scans).
 fn bench_touch_hot_region(c: &mut Criterion) {
     c.bench_function("touch_hot_region", |b| {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
@@ -42,7 +42,7 @@ fn bench_touch_pingpong(c: &mut Criterion) {
 
 /// Streaming reads over a payload-sized region that dwarfs the L1: every
 /// line misses inward, exercising the dense directory array and the
-/// L2/LLC levels rather than the summary fast paths.
+/// L2/LLC levels rather than the residency fast paths.
 fn bench_directory_lookup(c: &mut Criterion) {
     c.bench_function("directory_lookup", |b| {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
@@ -58,7 +58,7 @@ fn bench_directory_lookup(c: &mut Criterion) {
 
 /// A single-line read of a hot per-flow counter: the smallest possible
 /// touch, so fixed per-call overhead (address resolution, TLB probe,
-/// summary check) dominates. The floor every other path builds on.
+/// memo probe) dominates. The floor every other path builds on.
 fn bench_touch_single_line_hit(c: &mut Criterion) {
     c.bench_function("touch_single_line_hit", |b| {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
@@ -69,8 +69,8 @@ fn bench_touch_single_line_hit(c: &mut Criterion) {
     });
 }
 
-/// An exact-repeat 2 KB line run on a region too big for the whole-region
-/// summary (16 KB > L1): the span-claim fast path must engage and replay
+/// An exact-repeat 2 KB line run on a region too big for a whole-region
+/// claim (16 KB > L1): the span-claim fast path must engage and replay
 /// the 32-line run by pre-resolved slot — the line-run batch the TX
 /// payload path lives on.
 fn bench_span_line_run_replay(c: &mut Criterion) {

@@ -243,7 +243,7 @@ impl Cache {
     /// Returns the storage slot holding `line`, if resident. The slot
     /// stays valid until the line is evicted, invalidated or flushed —
     /// callers caching slots must invalidate their cache on any of those
-    /// (see `sim-mem`'s residency summaries).
+    /// (see `sim-mem`'s residency memo).
     #[must_use]
     pub fn slot_of(&self, line: u64) -> Option<u32> {
         let base = (line & self.set_mask) as usize * self.ways;

@@ -2,6 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Most CPUs a memory system can model: the coherence directory keeps
+/// each line's sharers as a `u32` bitmask.
+pub const MAX_CPUS: usize = 32;
+
 /// Geometry of the per-CPU cache hierarchy and TLBs.
 ///
 /// Defaults ([`MemoryConfig::paper_sut`]) follow the paper's system under
@@ -89,11 +93,18 @@ impl MemoryConfig {
     ///
     /// Returns [`sim_core::SimError::InvalidConfig`] if any capacity is not
     /// a positive multiple of the line size, an associativity is zero or
-    /// exceeds the number of lines, or there are no CPUs.
+    /// exceeds the number of lines, or the CPU count is outside
+    /// `1..=`[`MAX_CPUS`].
     pub fn validate(&self) -> sim_core::Result<()> {
         use sim_core::SimError;
         if self.cpus == 0 {
             return Err(SimError::config("need at least one cpu"));
+        }
+        if self.cpus > MAX_CPUS {
+            return Err(SimError::config(format!(
+                "at most {MAX_CPUS} cpus supported (u32 sharer masks), got {}",
+                self.cpus
+            )));
         }
         if self.line_size == 0 || !self.line_size.is_power_of_two() {
             return Err(SimError::config("line size must be a power of two"));
@@ -163,6 +174,12 @@ mod tests {
         let mut c = MemoryConfig::paper_sut(2);
         c.cpus = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_more_cpus_than_sharer_mask_bits() {
+        MemoryConfig::paper_sut(MAX_CPUS).validate().unwrap();
+        assert!(MemoryConfig::paper_sut(MAX_CPUS + 1).validate().is_err());
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! ```
 
 // Unsafe is denied everywhere except the single audited `zeroed` module
-// (calloc-backed vector growth for O(1)-fault bulk provisioning).
+// (kernel-zeroed tables for O(1)-fault bulk provisioning).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -52,7 +52,7 @@ mod tlb;
 mod zeroed;
 
 pub use cache::{AccessKind, Cache, CacheStats};
-pub use config::MemoryConfig;
+pub use config::{MemoryConfig, MAX_CPUS};
 pub use region::{MemRegion, RegionId, RegionName, RegionPlan, RegionSpan, RegionTable};
 pub use system::{ConstructionLayout, FetchResult, MemorySystem, TouchResult};
 pub use tlb::{Tlb, TlbStats};

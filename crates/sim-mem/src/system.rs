@@ -43,30 +43,38 @@
 //!   counts also give the write fast path its O(1) exclusivity check.
 //! * TLBs are probed once per *page* of a touch instead of once per line
 //!   ([`Tlb::access_n`] keeps the bookkeeping identical).
-//! * A generation-stamped per-(CPU, region) [`Summary`] records when every
-//!   line of a region is resident in the CPU's L1 (`hot`). While the
-//!   stamp is current, a touch of a hot region (writes additionally need
-//!   the live exclusivity count at full coverage) short-circuits the
-//!   per-line coherence-and-hierarchy walk down to the L1 hit
-//!   bookkeeping, which is the only part with observable effects. Every
-//!   event that could falsify a summary (fills, evictions, invalidations,
-//!   DMA writes) advances the region's generation, so the fast path can
-//!   never mask a miss or skip an invalidation: observable counters are
-//!   bit-identical to the per-line walk. Generations move once per touch
-//!   (accumulated masks, [`apply_bumps`]) rather than once per line —
-//!   claims only test stamp equality, so the batching is invisible.
-//! * The verification scan also records each line's L1 storage slot, so
-//!   the fast path updates LRU state by direct index
-//!   ([`Cache::touch_resident_run`]) instead of re-running the
-//!   set-and-way search per line. Slots can only go stale through events
-//!   that bump the generation, so a current summary implies current slots.
-//! * Code fetches get the same treatment via [`CodeSummary`]: every fetch
-//!   whose span ends up fully resident (all hits, or a span no larger
-//!   than the trace cache's set count, where consecutive lines cannot
-//!   collide) records the span's trace-cache slots, and the next fetch of
-//!   the same span replays the TC bookkeeping by slot. The TC is only
-//!   ever changed by the owning CPU's fetch fills (no invalidations or
-//!   flushes reach it), so the single bump site is a fill's eviction.
+//! * Each CPU has a bounded [`ResidencyMemo`] of residency claims: a
+//!   whole region is resident in the CPU's L1 (`Hot`), the exact span of
+//!   a recent touch is (`Span`), or the span of a recent code fetch is
+//!   resident in the trace cache (`Code`). While a claim holds, a repeat
+//!   touch (writes additionally need the live exclusivity count, or a
+//!   span claim recorded by a write walk) short-circuits the per-line
+//!   coherence-and-hierarchy walk down to the hit bookkeeping, which is
+//!   the only part with observable effects.
+//! * The memo is a direct-mapped table of plain-data entries plus a ring
+//!   arena of storage slots, both sized from the L1 and trace-cache line
+//!   counts — a claim can only hold while its lines are resident, so the
+//!   number of useful claims is bounded by the caches, not by the region
+//!   count. A conflicting entry, or a run the arena has wrapped over, is
+//!   simply forgotten: the next touch takes the exact walk and records
+//!   the claim again. Forgetting never changes a counter.
+//! * Data claims are stamped with the (region, CPU) generation in the
+//!   flat `gens` table. Every event that could falsify one (fills,
+//!   evictions, invalidations, DMA writes) advances the region's
+//!   generation, so the fast path can never mask a miss or skip an
+//!   invalidation: observable counters are bit-identical to the per-line
+//!   walk. Generations move once per touch (accumulated masks,
+//!   [`apply_bumps`]) rather than once per line — claims only test stamp
+//!   equality, so the batching is invisible.
+//! * A claim records each line's storage slot, so the fast path updates
+//!   LRU state by direct index ([`Cache::touch_resident_run`]) instead of
+//!   re-running the set-and-way search per line. Slots can only go stale
+//!   through events that bump the generation, so a current claim implies
+//!   current slots.
+//! * Code claims need no generation. The trace cache is only ever changed
+//!   by the owning CPU's fetch fills (no invalidations or flushes reach
+//!   it), so the single falsifying event is a fill's eviction, which
+//!   drops the victim region's code entry if the memo holds one.
 
 use serde::{Deserialize, Serialize};
 use sim_core::CpuId;
@@ -76,6 +84,7 @@ use crate::cache::{AccessKind, Cache, CacheStats};
 use crate::config::MemoryConfig;
 use crate::region::{RegionId, RegionName, RegionPlan, RegionSpan, RegionTable};
 use crate::tlb::{Tlb, TlbStats};
+use crate::zeroed::ZeroedVec;
 
 /// Per-CPU cache stack.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -95,8 +104,8 @@ struct DirEntry {
     /// CPU holding the line modified, plus one; `0` means no owner.
     /// Packed (instead of `Option<u8>`, whose `None` bit pattern is
     /// unspecified) so the all-zero byte pattern *is* the default entry,
-    /// letting bulk provisioning grow the directory with untouched
-    /// `alloc_zeroed` pages.
+    /// letting provisioning grow the directory on untouched zeroed pages
+    /// (see [`ZeroedVec`]).
     owner_plus1: u8,
 }
 
@@ -134,216 +143,169 @@ impl DirEntry {
 #[allow(unsafe_code)]
 unsafe impl crate::zeroed::ZeroDefault for DirEntry {}
 
-/// Residency summary for one (CPU, region) pair, backing the touch fast
-/// path.
+/// What a [`MemoEntry`] asserts about its region on the memo's CPU.
 ///
-/// The `hot` claim is trusted only while `verified_gen` matches the
-/// (CPU, region) generation in [`MemorySystem::gens`]; every event that
-/// could falsify it — an L1 fill or eviction, a coherence invalidation,
-/// a directory sharer change, DMA — bumps that generation, so a stale
-/// summary simply falls back to the exact per-line walk until a
-/// verification scan re-establishes it. Write exclusivity is no longer a
-/// stamped claim at all: [`MemorySystem::excl`] tracks it incrementally,
-/// so the write fast path reads the live count instead of re-scanning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Summary {
-    /// Value of the region generation (`MemorySystem::gens`) when the
-    /// claims were last verified.
-    verified_gen: u64,
-    /// Value of `change_gen` when a verification scan last failed;
-    /// suppresses re-scans until the state moves again.
-    failed_gen: u64,
-    /// Every line of the region is resident in this CPU's L1, so reads
-    /// are pure L1 hits and read coherence is a no-op (a resident line's
-    /// owner can only be this CPU or nobody).
-    hot: bool,
-    /// L1 storage slot of each region line (index `line - first_line`),
-    /// recorded by the verification scan. Valid exactly as long as the
-    /// summary is: any eviction, invalidation or fill that could move a
-    /// line bumps `change_gen` first.
-    slots: Vec<u32>,
-    /// Recently promoted touch spans (see [`SpanClaim`]). A touch whose
-    /// exact span carries a current claim replays by slot even when the
-    /// whole region is not resident (`hot` unset). Touch patterns repeat
-    /// a handful of distinct spans per region, so a few claims suffice.
-    spans: Vec<SpanClaim>,
-    /// Round-robin replacement cursor for `spans` when every claim is
-    /// still current.
-    span_cursor: usize,
+/// `Empty` is discriminant zero, so a zeroed table is a table of empty
+/// entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(u8)]
+enum Claim {
+    /// No claim.
+    #[default]
+    Empty = 0,
+    /// Every line of the region is L1-resident at the recorded slots, so
+    /// any touch inside the region is pure L1 hits and read coherence is
+    /// a no-op (a resident line's owner is this CPU or nobody).
+    Hot = 1,
+    /// A verification scan found the region not fully L1-resident at the
+    /// stamped generation; suppresses re-scans until the state moves.
+    Cold = 2,
+    /// Lines `first..first + len` are L1-resident at the recorded slots,
+    /// so an exact repeat of that touch replays by slot.
+    Span = 3,
+    /// Lines `first..first + len` are trace-cache-resident at the
+    /// recorded slots, so an exact repeat of that fetch replays by slot.
+    Code = 4,
 }
 
-/// Maximum replayable touch spans remembered per (CPU, region).
-const SPAN_CLAIMS: usize = 8;
-
-/// One replayable touch span: while `gen` matches the (CPU, region)
-/// generation, lines `first..=last` are fully L1-resident at `slots`,
-/// so an exact repeat of the touch is pure L1 hits and read coherence is
-/// a no-op (a resident line's owner is this CPU or nobody).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SpanClaim {
-    /// Value of the (CPU, region) generation when the claim was recorded.
-    gen: u64,
-    first: u64,
-    last: u64,
-    /// The claim came from a write walk, which left every span line with
-    /// `sharers == {cpu}` — so a repeated *write* of the span is also
-    /// coherence- and directory-free. (The directory owner field is
-    /// deliberately not part of the claim: owner state is unobservable,
-    /// see [`MemorySystem::dma_read`].)
+/// One residency claim of a [`ResidencyMemo`]: plain data, no heap.
+///
+/// A data claim (`Hot`, `Cold`, `Span`) is trusted only while `gen`
+/// matches the (region, CPU) generation in [`MemorySystem::gens`]; every
+/// event that could falsify it — an L1 fill or eviction, a coherence
+/// invalidation, a directory sharer change, DMA — bumps that generation,
+/// so a stale claim simply falls back to the exact per-line walk. Write
+/// exclusivity of a whole region is not a claim at all:
+/// [`MemorySystem::excl`] tracks it incrementally. A `Code` claim has no
+/// generation; it lives until a trace-cache eviction removes it.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct MemoEntry {
+    /// Index of the claimed region.
+    region: u32,
+    /// Lines covered, starting at `first`.
+    len: u16,
+    claim: Claim,
+    /// A `Span` claim recorded by a write walk, which left every span
+    /// line with sharer set exactly `{cpu}` — so a repeated *write* of the
+    /// span is also coherence- and directory-free. (The directory owner
+    /// field is deliberately not part of the claim: owner state is
+    /// unobservable, see [`MemorySystem::dma_read`].)
     owned: bool,
-    /// L1 storage slot of `first + i`, recorded during the walk.
-    slots: Vec<u32>,
+    /// Value of the (region, CPU) generation when the claim was recorded.
+    gen: u64,
+    /// First line covered.
+    first: u64,
+    /// Absolute arena position of the claim's slot run: slot of
+    /// `first + i` is at arena position `pos + i`.
+    pos: u64,
 }
 
-impl Default for SpanClaim {
-    fn default() -> Self {
-        SpanClaim {
-            // Never equals a real generation: claims start withdrawn.
-            gen: u64::MAX,
-            first: 0,
-            last: 0,
-            owned: false,
-            slots: Vec::new(),
-        }
-    }
-}
+// SAFETY: all-zero bytes decode to region 0, `len` 0, `Claim::Empty`
+// (discriminant 0), `owned: false` and zero stamps — exactly
+// `MemoEntry::default()`.
+#[allow(unsafe_code)]
+unsafe impl crate::zeroed::ZeroDefault for MemoEntry {}
 
-impl Default for Summary {
-    fn default() -> Self {
-        Summary {
-            verified_gen: 0,
-            // != change_gen so the first verification scan is allowed.
-            failed_gen: u64::MAX,
-            hot: false,
-            slots: Vec::new(),
-            spans: Vec::new(),
-            span_cursor: 0,
-        }
-    }
-}
+/// Memo entries per CPU, per line of L1D plus trace-cache capacity.
+const MEMO_ENTRIES_PER_LINE: usize = 4;
+/// Arena slots per CPU, per line of L1D plus trace-cache capacity.
+const MEMO_SLOTS_PER_LINE: usize = 16;
 
-impl Summary {
-    #[inline]
-    fn is_current(&self, gen: u64) -> bool {
-        self.hot && self.verified_gen == gen
-    }
-
-    #[inline]
-    fn span_matching(&self, gen: u64, first: u64, last: u64, write: bool) -> Option<&SpanClaim> {
-        self.spans
-            .iter()
-            .find(|c| c.gen == gen && c.first == first && c.last == last && (!write || c.owned))
-    }
-}
-
-/// Residency summary for one (CPU, region) pair on the *code* side: the
-/// span of lines the last fully-resident fetch covered, with each line's
-/// trace cache slot. Trace-cache contents only change through this CPU's own
-/// code fetches (nothing invalidates or flushes the TC), so the only bump
-/// site is a TC fill evicting a victim.
+/// One CPU's bounded residency memo, backing the touch and fetch fast
+/// paths.
+///
+/// `entries` is direct-mapped: a claim has exactly one home index, derived
+/// from its region, kind and (for spans) bounds, and recording a claim
+/// replaces whatever lived there. `slots` is a ring arena of L1/trace-cache
+/// storage slots; each claim owns the run `[pos, pos + len)` of absolute
+/// positions, and the run is readable until the arena wraps over it. Both
+/// are sized from the cache geometry only, so a million-region machine
+/// pays what a ten-region machine does.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct CodeSummary {
-    change_gen: u64,
-    verified_gen: u64,
-    span_first: u64,
-    span_last: u64,
-    /// TC storage slot of `span_first + i` at verification time.
+struct ResidencyMemo {
+    /// Power-of-two table of claims; all-zero bytes are empty entries.
+    entries: ZeroedVec<MemoEntry>,
+    /// Power-of-two ring of storage slots.
     slots: Vec<u32>,
+    /// Absolute arena position where the next run starts.
+    head: u64,
 }
 
-impl Default for CodeSummary {
-    fn default() -> Self {
-        CodeSummary {
-            change_gen: 0,
-            // != change_gen so a fresh summary never claims a span.
-            verified_gen: u64::MAX,
-            span_first: 0,
-            span_last: 0,
-            slots: Vec::new(),
-        }
-    }
-}
-
-impl CodeSummary {
-    #[inline]
-    fn bump(&mut self) {
-        self.change_gen += 1;
-    }
-
-    #[inline]
-    fn covers(&self, first: u64, last: u64) -> bool {
-        self.verified_gen == self.change_gen && self.span_first == first && self.span_last == last
-    }
-}
-
-/// Slots per [`LazySlots`] chunk (must be a power of two).
-const LAZY_CHUNK: usize = 1 << 12;
-
-/// Flat per-(region, CPU) slot table whose logical length grows in O(1).
-///
-/// [`Summary`] and [`CodeSummary`] are not zero-default types (they hold
-/// `Vec`s and `u64::MAX` sentinels), so the `alloc_zeroed` trick that
-/// keeps the directory and the integer tables untouched at construction
-/// (see [`crate::zeroed`]) cannot apply. Instead, growth just records the
-/// new logical length; a slot's backing chunk materializes to defaults on
-/// first *mutable* access, and shared reads of never-written slots see
-/// one canonical default instance. A million-flow machine provisions
-/// tens of millions of slots but its run only ever touches the regions
-/// its workload reaches, so almost all chunks stay unmaterialized.
-///
-/// Chunked (4096 slots) rather than prefix-grown so a sparse touch at a
-/// high region index — e.g. a victim-eviction bump against a late
-/// region — materializes one chunk, not the whole prefix.
-///
-/// Indistinguishable from `Vec<T>` + `resize_with(len, T::default)` to
-/// any caller: `get` of an unmaterialized slot returns a default value,
-/// and `get_mut` hands out a default the caller may mutate in place.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LazySlots<T> {
-    chunks: Vec<Option<Box<[T]>>>,
-    len: usize,
-    /// What every unmaterialized slot reads as (always `T::default()`).
-    default: T,
-}
-
-impl<T: Default + Clone> LazySlots<T> {
-    fn new() -> Self {
-        LazySlots {
-            chunks: Vec::new(),
-            len: 0,
-            default: T::default(),
+impl ResidencyMemo {
+    /// A memo of `entries` claims over a ring of `slots` storage slots
+    /// (both powers of two), built from zeroed pages so construction
+    /// touches none of them.
+    fn new(entries: usize, slots: usize) -> Self {
+        debug_assert!(entries.is_power_of_two() && slots.is_power_of_two());
+        let mut table = ZeroedVec::new();
+        table.grow(entries);
+        ResidencyMemo {
+            entries: table,
+            slots: vec![0; slots],
+            head: 0,
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Grows the logical length; O(chunk count) pointer bookkeeping only.
-    fn grow_to(&mut self, len: usize) {
-        debug_assert!(len >= self.len, "slot tables never shrink");
-        self.len = len;
-        let chunks = len.div_ceil(LAZY_CHUNK);
-        if self.chunks.len() < chunks {
-            self.chunks.resize_with(chunks, || None);
-        }
-    }
-
+    /// Home index of `region`'s `claim`. Spans also key on their bounds,
+    /// so the distinct spans a region is touched with get distinct homes;
+    /// whole-region and code claims pass zeros.
     #[inline]
-    fn get(&self, i: usize) -> &T {
-        debug_assert!(i < self.len, "slot {i} out of range ({})", self.len);
-        match &self.chunks[i / LAZY_CHUNK] {
-            Some(c) => &c[i % LAZY_CHUNK],
-            None => &self.default,
-        }
+    fn index(&self, region: u32, claim: Claim, first: u64, last: u64) -> usize {
+        let key = (u64::from(region) << 3 | claim as u64)
+            ^ first.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            ^ last.wrapping_mul(0x1656_67B1_9E37_79F9);
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.entries.len() - 1)
     }
 
+    /// The slot run of `e`, unless the arena has since wrapped over it.
+    /// Every run written after `e` lies in `[e.pos + e.len, head)`, which
+    /// cannot reach `e`'s ring cells before `head` passes
+    /// `e.pos + slots.len()`.
     #[inline]
-    fn get_mut(&mut self, i: usize) -> &mut T {
-        debug_assert!(i < self.len, "slot {i} out of range ({})", self.len);
-        let chunk = self.chunks[i / LAZY_CHUNK]
-            .get_or_insert_with(|| vec![T::default(); LAZY_CHUNK].into_boxed_slice());
-        &mut chunk[i % LAZY_CHUNK]
+    fn run(&self, e: &MemoEntry) -> Option<&[u32]> {
+        let n = self.slots.len();
+        if self.head - e.pos > n as u64 {
+            return None;
+        }
+        let p = e.pos as usize & (n - 1);
+        Some(&self.slots[p..p + e.len as usize])
+    }
+
+    /// Records `claim` over `run` (the slots of lines `claim.first..`) at
+    /// index `i`, replacing whatever claim lived there; fills in the
+    /// claim's length and arena position. A run that would straddle the
+    /// ring's end starts over at its beginning. A run too long for the
+    /// arena is not recorded; the entry at `i` then keeps its old claim,
+    /// which is still exactly as valid as before.
+    #[inline]
+    fn record(&mut self, i: usize, claim: MemoEntry, run: &[u32]) {
+        let n = self.slots.len();
+        let len = run.len();
+        if len > n || len > usize::from(u16::MAX) {
+            return;
+        }
+        let mut p = self.head as usize & (n - 1);
+        if p + len > n {
+            self.head += (n - p) as u64;
+            p = 0;
+        }
+        self.slots[p..p + len].copy_from_slice(run);
+        self.entries[i] = MemoEntry {
+            len: len as u16,
+            pos: self.head,
+            ..claim
+        };
+        self.head += len as u64;
+    }
+
+    /// Drops `region`'s code claim if the memo holds one.
+    #[inline]
+    fn forget_code(&mut self, region: u32) {
+        let i = self.index(region, Claim::Code, 0, 0);
+        let e = &mut self.entries[i];
+        if e.claim == Claim::Code && e.region == region {
+            *e = MemoEntry::default();
+        }
     }
 }
 
@@ -431,21 +393,19 @@ pub struct MemorySystem {
     cpus: Vec<CpuCaches>,
     /// Dense directory, indexed by line address. A default entry is
     /// equivalent to "line unknown".
-    directory: Vec<DirEntry>,
+    directory: ZeroedVec<DirEntry>,
     /// Region index per page, for attributing cache and directory events
     /// (a touch can run past its region's end, so attribution goes by the
     /// line actually affected, not by the touched region).
-    page_region: Vec<u32>,
-    /// `summaries[region * cpus + cpu]`: residency fast-path state, flat
-    /// and region-contiguous so a touch indexes it with the same offset
-    /// arithmetic as `gens`. Lazily materialized (see [`LazySlots`]) so
-    /// million-region machines only pay for the slots their run reaches.
-    summaries: LazySlots<Summary>,
+    page_region: ZeroedVec<u32>,
+    /// `memos[cpu]`: the CPU's bounded residency memo, backing the touch
+    /// and fetch fast paths.
+    memos: Vec<ResidencyMemo>,
     /// `gens[region * cpus + cpu]`: the (CPU, region) change generation
-    /// guarding that summary's claims. Kept flat and region-contiguous so
+    /// guarding that CPU's data claims on the region. Kept flat and region-contiguous so
     /// the fill path can bump every CPU's view of a region with one short
     /// contiguous run of increments.
-    gens: Vec<u64>,
+    gens: ZeroedVec<u64>,
     /// `excl[region * cpus + cpu]`: incremental coherence-directory
     /// aggregate — the number of the region's own lines whose sharer set
     /// is exactly `{cpu}`. Maintained by delta at every directory
@@ -454,14 +414,16 @@ pub struct MemorySystem {
     /// `excl == region lines` means a write is coherence- and
     /// directory-free. The directory *owner* is deliberately excluded
     /// from the predicate (see [`MemorySystem::dma_read`]).
-    excl: Vec<u32>,
+    excl: ZeroedVec<u32>,
     /// Last line of each region's own range, for bounding which lines
     /// count toward `excl` (touches can run past a region's end into
     /// overflow pages attributed to it; those lines must not count).
     region_last: Vec<u64>,
-    /// `code_summaries[region * cpus + cpu]`: trace-cache fast-path state,
-    /// laid out (and lazily materialized) like `summaries`.
-    code_summaries: LazySlots<CodeSummary>,
+    /// Reused storage-slot buffer: the walks record where each line of
+    /// the touch or fetch lands, and a claimable walk copies it into the
+    /// memo's arena.
+    #[serde(skip)]
+    walk_slots: Vec<u32>,
     /// Reused per-line sharer-mask buffer for [`MemorySystem::dma_write`]'s
     /// two-pass directory delta (gather sharers, then apply per CPU).
     #[serde(skip)]
@@ -540,7 +502,25 @@ impl MemorySystem {
     /// config through its helpers to avoid this.
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
+        // A claim holds only while its lines are cache-resident, so the
+        // number of useful claims scales with the L1 and trace-cache line
+        // counts.
+        let lines = ((u64::from(config.l1_size) + u64::from(config.tc_size))
+            / u64::from(config.line_size.max(1))) as usize;
+        Self::with_memo_capacity(
+            config,
+            (lines * MEMO_ENTRIES_PER_LINE).next_power_of_two(),
+            (lines * MEMO_SLOTS_PER_LINE).next_power_of_two(),
+        )
+    }
+
+    /// [`MemorySystem::new`] with a per-CPU memo of `entries` claims over
+    /// `slots` arena slots (both rounded up to powers of two).
+    fn with_memo_capacity(config: MemoryConfig, entries: usize, slots: usize) -> Self {
         config.validate().expect("invalid memory configuration");
+        let memos = (0..config.cpus)
+            .map(|_| ResidencyMemo::new(entries.next_power_of_two(), slots.next_power_of_two()))
+            .collect();
         let line = config.line_size;
         let cpus: Vec<CpuCaches> = (0..config.cpus)
             .map(|i| CpuCaches {
@@ -576,13 +556,13 @@ impl MemorySystem {
             line_shift: config.line_size.trailing_zeros(),
             page_shift: config.page_size.trailing_zeros(),
             regions: RegionTable::new(config.page_size as u64),
-            directory: Vec::new(),
-            page_region: Vec::new(),
-            summaries: LazySlots::new(),
-            gens: Vec::new(),
-            excl: Vec::new(),
+            directory: ZeroedVec::new(),
+            page_region: ZeroedVec::new(),
+            memos,
+            gens: ZeroedVec::new(),
+            excl: ZeroedVec::new(),
             region_last: Vec::new(),
-            code_summaries: LazySlots::new(),
+            walk_slots: Vec::new(),
             dma_sharers: Vec::new(),
             remote_invals: Vec::new(),
             remote_cleans: Vec::new(),
@@ -610,14 +590,10 @@ impl MemorySystem {
         // so line indexing never leaves the flat structures.
         let cover = (base + 2 * size).max(self.regions.footprint());
         let lines = (cover >> self.line_shift) as usize + 1;
-        if self.directory.len() < lines {
-            self.directory.resize(lines, DirEntry::default());
-        }
+        self.directory.grow(lines);
         let first_page = (base >> self.page_shift) as usize;
         let pages = (cover >> self.page_shift) as usize + 1;
-        if self.page_region.len() < pages {
-            self.page_region.resize(pages, 0);
-        }
+        self.page_region.grow(pages);
         // Authoritative for this region's own pages; trailing overflow
         // pages keep this id until a later region claims them.
         for p in &mut self.page_region[first_page..pages] {
@@ -625,11 +601,9 @@ impl MemorySystem {
         }
         let ncpus = self.cpus.len();
         let slots = self.regions.len() * ncpus;
-        self.summaries.grow_to(slots);
-        self.gens.extend(std::iter::repeat_n(0, ncpus));
-        self.excl.extend(std::iter::repeat_n(0, ncpus));
+        self.gens.grow(slots);
+        self.excl.grow(slots);
         self.region_last.push((base + size - 1) >> self.line_shift);
-        self.code_summaries.grow_to(slots);
         id
     }
 
@@ -637,7 +611,7 @@ impl MemorySystem {
     /// the dense id range. Produces state byte-identical to calling
     /// [`add_region`](Self::add_region) once per plan entry, in order —
     /// same `RegionId`s, bases, footprint, directory/page-table lengths,
-    /// and page ownership — but pays O(1) resizes instead of O(n).
+    /// and page ownership — but pays O(1) grows instead of O(n).
     ///
     /// Layout-identity argument (property-tested in
     /// `tests/proptests.rs`):
@@ -649,9 +623,9 @@ impl MemorySystem {
     ///   and `page_region` monotonically to per-region high-water marks
     ///   (`cover_i`), so the final lengths are the running *maximum*
     ///   over all entries — computed here in one scan, applied in one
-    ///   `resize`. The resize fill values (`DirEntry::default()`, page
-    ///   owner `0`) match the incremental fills, and cells beyond every
-    ///   page-run write end up `0` on both paths.
+    ///   `grow`. Both paths fill with zeroes (`DirEntry::default()`, page
+    ///   owner `0`), and cells beyond every page-run write end up `0` on
+    ///   both paths.
     /// - **Page ownership.** Each region writes the run
     ///   `[first_page_i, pages_i)`; runs *overlap* (an earlier large
     ///   region's cover can reach past a later small region's), and the
@@ -659,9 +633,8 @@ impl MemorySystem {
     ///   allocation order. Replaying the same writes in the same order
     ///   over the pre-sized table reproduces the exact final ownership.
     ///   A reverse-order or watermark fill would *not*.
-    /// - **Per-CPU vectors.** `summaries`/`gens`/`excl`/
-    ///   `code_summaries` grow by exactly `ncpus` defaults per region
-    ///   regardless of interleaving; one `resize` to
+    /// - **Per-CPU vectors.** `gens`/`excl` grow by exactly `ncpus`
+    ///   defaults per region regardless of interleaving; one `grow` to
     ///   `regions.len() * ncpus` is equivalent.
     ///
     /// `cover_i` needs the footprint *as of* entry `i`, which for all
@@ -693,13 +666,12 @@ impl MemorySystem {
             max_lines = max_lines.max((cover >> self.line_shift) as usize + 1);
             max_pages = max_pages.max((cover >> self.page_shift) as usize + 1);
         }
-        // Zero-touch growth: the grown tails are fresh `alloc_zeroed`
-        // pages (content-identical to the incremental `resize` fills, see
-        // `crate::zeroed`), faulted in only where the run later reaches —
+        // Zero-touch growth: the grown tails are fresh zeroed pages (see
+        // `ZeroedVec`), faulted in only where the run later reaches —
         // at million-flow sizes the directory alone is gigabytes, and
         // eagerly dirtying it would dominate construction.
-        crate::zeroed::grow_zeroed(&mut self.directory, max_lines);
-        crate::zeroed::grow_zeroed(&mut self.page_region, max_pages);
+        self.directory.grow(max_lines);
+        self.page_region.grow(max_pages);
         self.region_last.reserve(n);
         for i in 0..n {
             let id = span.get(i);
@@ -718,10 +690,8 @@ impl MemorySystem {
         }
         let ncpus = self.cpus.len();
         let slots = self.regions.len() * ncpus;
-        self.summaries.grow_to(slots);
-        crate::zeroed::grow_zeroed(&mut self.gens, slots);
-        crate::zeroed::grow_zeroed(&mut self.excl, slots);
-        self.code_summaries.grow_to(slots);
+        self.gens.grow(slots);
+        self.excl.grow(slots);
         span
     }
 
@@ -786,19 +756,20 @@ impl MemorySystem {
             cpus,
             directory,
             page_region,
-            summaries,
+            memos,
             gens,
             excl,
             region_last,
+            walk_slots: span_slots,
             remote_invals,
             remote_cleans,
             bump_masks,
             ..
         } = self;
         let ncpus = cpus.len();
-        // Flat (region, cpu) offset, shared by `gens`, `excl` and
-        // `summaries`.
+        // Flat (region, cpu) offset, shared by `gens` and `excl`.
         let si = region.index() * ncpus + idx;
+        let rkey = region.index() as u32;
         let region_lines = region_last_line - region_first_line + 1;
 
         // Live exclusivity: every one of the region's own lines has
@@ -814,47 +785,49 @@ impl MemorySystem {
             && region_lines <= u64::from(u32::MAX)
             && excl[si] == region_lines as u32;
 
-        // Fast path: every line is a private L1 hit, so coherence and the
+        // Fast paths: every line is a private L1 hit, so coherence and the
         // directory update are no-ops and only the L1 bookkeeping remains
         // — applied by pre-resolved storage slot, skipping the set scan.
         // Touches that run past the region end (offset wrap) take the
-        // slow path — the summary only covers the region's own lines.
+        // slow path — claims only cover the region's own lines.
         let gen = gens[si];
-        let s = summaries.get(si);
-        if s.is_current(gen) && (!write || all_excl) && last <= region_last_line {
-            let lo = (first - region_first_line) as usize;
-            cpus[idx]
-                .l1
-                .touch_resident_run(&s.slots[lo..lo + result.lines as usize], first, write);
-            return result;
+        let memo = &mut memos[idx];
+        let hot_i = memo.index(rkey, Claim::Hot, 0, 0);
+        let span_i = memo.index(rkey, Claim::Span, first, last);
+        if last <= region_last_line {
+            // The whole region is resident; writes additionally need the
+            // live exclusivity count.
+            let e = &memo.entries[hot_i];
+            if e.claim == Claim::Hot && e.region == rkey && e.gen == gen && (!write || all_excl) {
+                if let Some(run) = memo.run(e) {
+                    let lo = (first - e.first) as usize;
+                    cpus[idx].l1.touch_resident_run(
+                        &run[lo..lo + result.lines as usize],
+                        first,
+                        write,
+                    );
+                    return result;
+                }
+            }
+            // An exact repeat of a recently claimed span, while nothing
+            // that could move or reclassify its lines has happened. The
+            // span is fully L1-resident (pure hits), and for writes the
+            // span is privately owned, so coherence and the directory are
+            // no-ops either way.
+            let e = &memo.entries[span_i];
+            if e.claim == Claim::Span
+                && e.region == rkey
+                && e.gen == gen
+                && e.first == first
+                && u64::from(e.len) == result.lines
+                && (!write || e.owned)
+            {
+                if let Some(run) = memo.run(e) {
+                    cpus[idx].l1.touch_resident_run(run, first, write);
+                    return result;
+                }
+            }
         }
-        // Span fast path: an exact repeat of the last promoted touch of
-        // this region, while nothing that could move or reclassify its
-        // lines has happened. The span is fully L1-resident (pure hits),
-        // and for writes the span is privately owned, so coherence and
-        // the directory are no-ops either way.
-        if let Some(c) = s.span_matching(gen, first, last, write) {
-            cpus[idx].l1.touch_resident_run(&c.slots, first, write);
-            return result;
-        }
-        // Pick the claim this walk will (try to) establish and borrow its
-        // slot buffer, so promotion below is scan-free. Stale claims are
-        // recycled first; otherwise replacement round-robins. The choice
-        // has no observable effect, so any deterministic policy is fine.
-        let (span_idx, mut span_slots) = {
-            let s = summaries.get_mut(si);
-            let i = if let Some(i) = s.spans.iter().position(|c| c.gen != gen) {
-                i
-            } else if s.spans.len() < SPAN_CLAIMS {
-                s.spans.push(SpanClaim::default());
-                s.spans.len() - 1
-            } else {
-                let i = s.span_cursor;
-                s.span_cursor = (i + 1) % SPAN_CLAIMS;
-                i
-            };
-            (i, std::mem::take(&mut s.spans[i].slots))
-        };
         span_slots.clear();
         // The walk holds this CPU's caches borrowed for its whole length;
         // the rare coherence actions against *other* CPUs' caches are
@@ -1108,38 +1081,6 @@ impl MemorySystem {
         }
         apply_bumps(gens, bump_masks, ncpus);
 
-        // Promotion: a touch that never left the L1 cannot have changed
-        // anything mid-walk, so a verification scan over the region's own
-        // lines can (re-)establish the summary for future touches. The
-        // scan only resolves L1 slots now — write exclusivity comes from
-        // the live `excl` count, so the directory is not read at all.
-        let gen_now = gens[si];
-        if result.l1_misses == 0 {
-            let s = summaries.get_mut(si);
-            if !s.is_current(gen_now)
-                && s.failed_gen != gen_now
-                && region_lines <= cpus[idx].l1.capacity_lines() as u64
-            {
-                let l1 = &cpus[idx].l1;
-                let mut hot = true;
-                s.slots.clear();
-                for line in region_first_line..=region_last_line {
-                    let Some(slot) = l1.slot_of(line) else {
-                        hot = false;
-                        break;
-                    };
-                    s.slots.push(slot);
-                }
-                if hot {
-                    s.hot = true;
-                    s.verified_gen = gen_now;
-                } else {
-                    s.hot = false;
-                    s.failed_gen = gen_now;
-                }
-            }
-        }
-
         // Span promotion: the walk leaves the whole span L1-resident at
         // the recorded slots when it was all hits (hits cannot evict) or
         // when the span fits in distinct L1 sets — consecutive lines,
@@ -1147,24 +1088,66 @@ impl MemorySystem {
         // span line. A write walk additionally leaves every span line
         // with sharer set exactly `{cpu}` (the directory-free walk had
         // that as its precondition), making a repeat write coherence-free
-        // too. Touches that run past the region end are
-        // not claimable: their trailing lines belong to other regions,
-        // whose events bump other summaries. The generation is stamped
-        // after the walk, absorbing bumps the walk's own victims caused;
-        // unclaimable spans leave their claim withdrawn.
-        let s = summaries.get_mut(si);
-        let c = &mut s.spans[span_idx];
-        c.first = first;
-        c.last = last;
-        c.owned = write;
-        c.slots = span_slots;
-        c.gen = if last <= region_last_line
+        // too. Touches that run past the region end are not claimable:
+        // their trailing lines belong to other regions, whose events bump
+        // other generations. The generation is stamped after the walk,
+        // absorbing bumps the walk's own victims caused.
+        let gen_now = gens[si];
+        if last <= region_last_line
             && (result.l1_misses == 0 || result.lines <= cpus[idx].l1.sets() as u64)
         {
-            gen_now
-        } else {
-            gen_now.wrapping_sub(1)
-        };
+            let claim = MemoEntry {
+                region: rkey,
+                claim: Claim::Span,
+                owned: write,
+                gen: gen_now,
+                first,
+                ..MemoEntry::default()
+            };
+            memo.record(span_i, claim, span_slots);
+        }
+
+        // Whole-region promotion: a touch that never left the L1 cannot
+        // have changed anything mid-walk, so a verification scan over the
+        // region's own lines can (re-)establish the `Hot` claim for future
+        // touches. The scan only resolves L1 slots — write exclusivity
+        // comes from the live `excl` count, so the directory is not read
+        // at all. A failed scan is remembered as `Cold` until the
+        // generation moves.
+        if result.l1_misses == 0 && region_lines <= cpus[idx].l1.capacity_lines() as u64 {
+            let e = &memo.entries[hot_i];
+            let known = e.region == rkey
+                && e.gen == gen_now
+                && match e.claim {
+                    Claim::Cold => true,
+                    Claim::Hot => memo.run(e).is_some(),
+                    _ => false,
+                };
+            if !known {
+                let l1 = &cpus[idx].l1;
+                span_slots.clear();
+                let mut hot = true;
+                for line in region_first_line..=region_last_line {
+                    let Some(slot) = l1.slot_of(line) else {
+                        hot = false;
+                        break;
+                    };
+                    span_slots.push(slot);
+                }
+                let claim = MemoEntry {
+                    region: rkey,
+                    claim: if hot { Claim::Hot } else { Claim::Cold },
+                    gen: gen_now,
+                    first: region_first_line,
+                    ..MemoEntry::default()
+                };
+                if hot {
+                    memo.record(hot_i, claim, span_slots);
+                } else {
+                    memo.entries[hot_i] = claim;
+                }
+            }
+        }
         result
     }
 
@@ -1202,33 +1185,38 @@ impl MemorySystem {
             cpus,
             directory,
             page_region,
-            summaries: _,
+            memos,
             gens,
             excl,
             region_last,
-            code_summaries,
+            walk_slots: slot_buf,
             bump_masks,
             ..
         } = self;
         let ncpus = cpus.len();
-        // Flat (region, cpu) offset, shared by `gens` and `code_summaries`.
-        let si = region.index() * ncpus + idx;
+        let rkey = region.index() as u32;
 
-        // Fast path: the last verified fetch covered exactly this span
-        // with every line in the trace cache. An all-hit fetch touches
-        // neither the directory nor the outer levels, so only the TC's
-        // LRU/hit bookkeeping remains — applied by slot.
-        let cs = code_summaries.get(si);
-        if cs.covers(first, last) {
-            cpus[idx].tc.touch_resident_run(&cs.slots, first, false);
-            return result;
+        // Fast path: a recent fetch covered exactly this span and left
+        // every line in the trace cache. An all-hit fetch touches neither
+        // the directory nor the outer levels, so only the TC's LRU/hit
+        // bookkeeping remains — applied by slot.
+        let memo = &mut memos[idx];
+        let code_i = memo.index(rkey, Claim::Code, 0, 0);
+        let e = &memo.entries[code_i];
+        if e.claim == Claim::Code
+            && e.region == rkey
+            && e.first == first
+            && u64::from(e.len) == result.lines
+        {
+            if let Some(run) = memo.run(e) {
+                cpus[idx].tc.touch_resident_run(run, first, false);
+                return result;
+            }
         }
 
         let caches = &mut cpus[idx];
-        // Reuse the summary's slot buffer to record where each span line
-        // lands, so promotion below costs no extra residency scan. The
-        // summary's old claim dies with its slots (see the walk's end).
-        let mut slot_buf = std::mem::take(&mut code_summaries.get_mut(si).slots);
+        // Record where each span line lands, so promotion below costs no
+        // extra residency scan.
         slot_buf.clear();
         bump_masks.clear();
         let all_mask = if ncpus >= 32 {
@@ -1246,8 +1234,7 @@ impl MemorySystem {
             // The fill may displace another region's code; its span claim
             // dies with the victim.
             if let Some(victim) = tc.evicted {
-                let vr = page_region[(victim >> lpp) as usize] as usize;
-                code_summaries.get_mut(vr * ncpus + idx).bump();
+                memo.forget_code(page_region[(victim >> lpp) as usize]);
             }
             if directory[line as usize].sharers & me_bit != 0 {
                 // In this CPU's LLC (sharer bit ⟺ LLC residency): the L2
@@ -1302,20 +1289,21 @@ impl MemorySystem {
         // cannot evict), or (b) the span fits in distinct trace-cache
         // sets — consecutive lines, span <= sets — so no fill in this
         // fetch can displace an earlier span line, and a resident line
-        // keeps its slot (nothing else touches the TC). The generation is
-        // stamped *after* the walk, absorbing any bumps the walk's own
-        // victims caused. Larger missy spans self-conflict mid-fetch;
-        // their slots are stale, so the claim is explicitly withdrawn
-        // (the buffer was stolen from the summary above).
-        let cs = code_summaries.get_mut(si);
-        cs.span_first = first;
-        cs.span_last = last;
-        cs.slots = slot_buf;
-        cs.verified_gen = if result.tc_misses == 0 || result.lines <= caches.tc.sets() as u64 {
-            cs.change_gen
-        } else {
-            cs.change_gen.wrapping_sub(1)
-        };
+        // keeps its slot (nothing else touches the TC). The claim is
+        // recorded *after* the walk, replacing any the walk's own victims
+        // dropped. Larger missy spans self-conflict mid-fetch; their slots
+        // are stale, so they are not claimed. An older claim on this
+        // region stays: the walk dropped it if it evicted any of the
+        // region's lines.
+        if result.tc_misses == 0 || result.lines <= caches.tc.sets() as u64 {
+            let claim = MemoEntry {
+                region: rkey,
+                claim: Claim::Code,
+                first,
+                ..MemoEntry::default()
+            };
+            memo.record(code_i, claim, slot_buf);
+        }
         result
     }
 
@@ -1350,7 +1338,7 @@ impl MemorySystem {
         // line (bit ⟺ LLC residency; inclusion bounds the inner levels),
         // so CPUs outside the mask need no cache probe — on them
         // `invalidate` would miss and count nothing — and no generation
-        // bump, because any summary claim of theirs involving the line
+        // bump, because any residency claim of theirs involving the line
         // was already false (and its gen already bumped) when the line
         // left their caches. A zero mask also means the entry is already
         // default (an owner is always a sharer), so the reset is skipped
@@ -1401,8 +1389,8 @@ impl MemorySystem {
     ///
     /// Takes the directory owner but bumps no generation: nothing the
     /// fast-path claims assert can be falsified here. Residency claims
-    /// (`hot`, spans) are about L1 contents, which a writeback leaves in
-    /// place; exclusivity (`excl`, `SpanClaim::owned`) is defined over
+    /// (`Hot`, `Span`) are about L1 contents, which a writeback leaves in
+    /// place; exclusivity (`excl`, `MemoEntry::owned`) is defined over
     /// the *sharer set* only, which is untouched. That makes the owner
     /// field unobservable outside the directory itself — its only readers
     /// are the remote-read downgrade and this writeback, and both are
@@ -1572,12 +1560,10 @@ impl MemorySystem {
     pub fn construction_layout(&self) -> ConstructionLayout {
         ConstructionLayout {
             directory_lines: self.directory.len(),
-            page_region: self.page_region.clone(),
+            page_region: self.page_region.to_vec(),
             region_last: self.region_last.clone(),
-            gens: self.gens.clone(),
-            excl: self.excl.clone(),
-            summary_slots: self.summaries.len(),
-            code_summary_slots: self.code_summaries.len(),
+            gens: self.gens.to_vec(),
+            excl: self.excl.to_vec(),
         }
     }
 
@@ -1610,10 +1596,6 @@ pub struct ConstructionLayout {
     pub gens: Vec<u64>,
     /// Per-region × per-CPU live exclusivity counts.
     pub excl: Vec<u32>,
-    /// `summaries` slot count (`regions × ncpus`).
-    pub summary_slots: usize,
-    /// `code_summaries` slot count (`regions × ncpus`).
-    pub code_summary_slots: usize,
 }
 
 #[cfg(test)]
@@ -1798,8 +1780,9 @@ mod tests {
 
     // --- residency fast-path behaviour ---
 
-    /// Drives a region until its summary is established (two touches: the
-    /// first warms, the second is all-hits and triggers the scan).
+    /// Drives a region until its whole-region claim is established (two
+    /// touches: the first warms, the second is all-hits and triggers the
+    /// scan).
     fn warm(m: &mut MemorySystem, cpu: CpuId, r: RegionId, bytes: u64, write: bool) {
         m.data_touch(cpu, r, 0, bytes, write);
         let second = m.data_touch(cpu, r, 0, bytes, write);
@@ -1864,7 +1847,7 @@ mod tests {
         // Thrash the L1 so the small region's lines get evicted.
         m.data_touch(CPU0, big, 0, 4096, false);
         let again = m.data_touch(CPU0, small, 0, 256, false);
-        assert!(again.l1_misses > 0, "stale summary must not mask L1 misses");
+        assert!(again.l1_misses > 0, "stale claim must not mask L1 misses");
     }
 
     #[test]
@@ -1876,7 +1859,7 @@ mod tests {
         let again = m.data_touch(CPU0, r, 0, 128, false);
         assert_eq!(
             again.llc_misses, 2,
-            "DMA write must uncache despite summary"
+            "DMA write must uncache despite the claim"
         );
     }
 
@@ -1916,5 +1899,112 @@ mod tests {
         // Lines wrap through the L1; misses must keep being reported.
         let again = m.data_touch(CPU0, big, 0, 2048, false);
         assert!(again.l1_misses > 0);
+    }
+
+    // --- bounded residency memo ---
+
+    /// A geometry where whole regions fit the L1 and trace cache, so every
+    /// fast path engages.
+    fn memo_config() -> MemoryConfig {
+        MemoryConfig {
+            l1_size: 1024,
+            tc_size: 1024,
+            ..MemoryConfig::tiny(3)
+        }
+    }
+
+    #[test]
+    fn memo_eviction_is_unobservable() {
+        let config = memo_config();
+        let lines = (config.l1_size.max(config.tc_size) / config.line_size) as usize;
+        // Against the default memo: one entry per CPU, so every recorded
+        // claim displaces the previous one; and a roomy table over an
+        // arena that holds exactly one largest claim, so runs are
+        // overwritten while their entries still stand.
+        let mut systems = [
+            MemorySystem::new(config.clone()),
+            MemorySystem::with_memo_capacity(config.clone(), 1, lines),
+            MemorySystem::with_memo_capacity(config, 1 << 10, lines),
+        ];
+        let sizes = [64u64, 128, 192, 256, 512, 1024, 2048];
+        let regions: Vec<RegionId> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                let ids: Vec<RegionId> = systems
+                    .iter_mut()
+                    .map(|m| m.add_region(format!("r{i}"), b))
+                    .collect();
+                assert!(ids.iter().all(|&id| id == ids[0]));
+                ids[0]
+            })
+            .collect();
+        let mut rng = sim_core::SimRng::new(0x5EED);
+        for op in 0..20_000 {
+            let r = regions[rng.next_below(regions.len() as u64) as usize];
+            let cpu = CpuId::new(rng.next_below(3) as u32);
+            // A few offsets and lengths, so spans repeat.
+            let offset = 64 * rng.next_below(4);
+            let bytes = 64 * rng.range(1, 9);
+            let kind = rng.next_below(16);
+            let results: Vec<(TouchResult, FetchResult)> = systems
+                .iter_mut()
+                .map(|m| match kind {
+                    0 => {
+                        m.dma_write(r, offset, bytes);
+                        Default::default()
+                    }
+                    1 => {
+                        m.dma_read(r, offset, bytes);
+                        Default::default()
+                    }
+                    2..=5 => (TouchResult::default(), m.code_fetch(cpu, r, offset, bytes)),
+                    k => (
+                        m.data_touch(cpu, r, offset, bytes, k >= 12),
+                        FetchResult::default(),
+                    ),
+                })
+                .collect();
+            assert!(
+                results.iter().all(|x| *x == results[0]),
+                "op {op}: {results:?}"
+            );
+        }
+        let [full, rest @ ..] = &systems;
+        for m in rest {
+            for (i, (a, b)) in m.cpus.iter().zip(&full.cpus).enumerate() {
+                assert_eq!(a.l1.stats(), b.l1.stats(), "cpu {i} l1");
+                assert_eq!(a.l2.stats(), b.l2.stats(), "cpu {i} l2");
+                assert_eq!(a.llc.stats(), b.llc.stats(), "cpu {i} llc");
+                assert_eq!(a.tc.stats(), b.tc.stats(), "cpu {i} tc");
+                assert_eq!(a.itlb.stats(), b.itlb.stats(), "cpu {i} itlb");
+                assert_eq!(a.dtlb.stats(), b.dtlb.stats(), "cpu {i} dtlb");
+            }
+        }
+        for m in &systems {
+            m.verify_incremental_state();
+            // Every memo recorded claims on every CPU.
+            assert!(m.memos.iter().all(|memo| memo.head > 0));
+        }
+    }
+
+    #[test]
+    fn memo_storage_does_not_depend_on_region_count() {
+        let memo_bytes = |regions: u32| {
+            let mut m = MemorySystem::new(MemoryConfig::paper_sut(4));
+            let mut plan = RegionPlan::with_capacity(regions as usize);
+            for i in 0..regions {
+                plan.add(RegionName::indexed("flow", i, "tcb"), 512);
+            }
+            m.add_regions_bulk(plan);
+            m.memos
+                .iter()
+                .map(|memo| {
+                    memo.entries.len() * size_of::<MemoEntry>()
+                        + memo.slots.len() * size_of::<u32>()
+                })
+                .sum::<usize>()
+        };
+        assert_eq!(memo_bytes(1_000), memo_bytes(100_000));
     }
 }

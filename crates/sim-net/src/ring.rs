@@ -55,10 +55,10 @@ impl<T> SpscRing<T> {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.max(2).next_power_of_two();
-        let mut slots = Vec::with_capacity(cap);
-        slots.resize_with(cap, || None);
         SpscRing {
-            slots,
+            // Slots come into being on the producer cursor's first lap,
+            // so construction reserves the buffer without touching it.
+            slots: Vec::with_capacity(cap),
             mask: (cap - 1) as u64,
             head: 0,
             tail: 0,
@@ -70,7 +70,7 @@ impl<T> SpscRing<T> {
     /// Total descriptor slots.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask as usize + 1
     }
 
     /// Descriptors currently enqueued.
@@ -118,8 +118,12 @@ impl<T> SpscRing<T> {
             return Err(value);
         }
         let slot = (self.tail & self.mask) as usize;
-        debug_assert!(self.slots[slot].is_none());
-        self.slots[slot] = Some(value);
+        if slot == self.slots.len() {
+            self.slots.push(Some(value));
+        } else {
+            debug_assert!(self.slots[slot].is_none());
+            self.slots[slot] = Some(value);
+        }
         self.tail += 1;
         self.stats.pushes += 1;
         let len = self.len();
