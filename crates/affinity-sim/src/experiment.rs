@@ -452,6 +452,45 @@ mod tests {
         assert!(Machine::new(&mem_only).is_err());
     }
 
+    /// Asserts `Machine::new` rejects `config` with a configuration error
+    /// naming `what`.
+    fn assert_config_error(config: &ExperimentConfig, what: &str) {
+        match Machine::new(config) {
+            Err(sim_core::SimError::InvalidConfig { reason }) => {
+                assert!(reason.contains(what), "unexpected reason: {reason}");
+            }
+            Err(e) => panic!("expected a configuration error, got {e}"),
+            Ok(_) => panic!("expected a configuration error naming {what}"),
+        }
+    }
+
+    #[test]
+    fn zero_connections_is_a_config_error() {
+        let mut config = ExperimentConfig::scale(Direction::Rx, 4, 64, AffinityMode::Rss);
+        config.connections = 0;
+        assert_config_error(&config, "connection");
+    }
+
+    #[test]
+    fn zero_nics_is_a_config_error() {
+        let mut config = ExperimentConfig::scale(Direction::Rx, 4, 64, AffinityMode::Rss);
+        config.nics = 0;
+        assert_config_error(&config, "NIC");
+    }
+
+    #[test]
+    fn zero_listen_backlog_is_a_config_error() {
+        let mut config =
+            ExperimentConfig::churn(4, 64, SteerSpec::flow_director(), DataplaneMode::Interrupt);
+        assert!(Machine::new(&config).is_ok());
+        config
+            .server
+            .as_mut()
+            .expect("churn is a server workload")
+            .backlog = 0;
+        assert_config_error(&config, "backlog");
+    }
+
     #[test]
     fn quick_run_tx_completes() {
         let config = ExperimentConfig::paper_sut(Direction::Tx, 4096, AffinityMode::Full).quick();

@@ -148,10 +148,11 @@ enum BlockReason {
     RxData,
 }
 
+/// The application side of one flow's process. Each flow of a ttcp
+/// workload has exactly one process, spawned in flow order, so
+/// `tasks[flow]` belongs to the task whose `TaskId` index is `flow`.
 #[derive(Debug, Clone)]
 struct TaskRun {
-    task: TaskId,
-    conn: usize,
     /// RX: bytes still missing from the current application message.
     remaining: u64,
     blocked: Option<BlockReason>,
@@ -204,7 +205,6 @@ pub struct Machine {
     pin_processes: bool,
 
     tasks: Vec<TaskRun>,
-    task_of_conn: Vec<usize>,
     last_task_on: Vec<Option<TaskId>>,
     run_since_sched: Vec<u64>,
 
@@ -260,8 +260,10 @@ impl Machine {
     /// # Errors
     ///
     /// Returns a configuration error if the CPU count is outside
-    /// `1..=`[`MAX_CPUS`], the memory or stack config is invalid, or an
-    /// affinity mask cannot be applied.
+    /// `1..=`[`MAX_CPUS`], there are no connections or no NICs, a server
+    /// workload's listen backlog is zero (every SYN would be dropped and
+    /// the run could never finish), the memory or stack config is
+    /// invalid, or an affinity mask cannot be applied.
     pub fn new(config: &ExperimentConfig) -> Result<Self> {
         let cpus = config.cpus;
         if !(1..=MAX_CPUS).contains(&cpus) {
@@ -269,10 +271,18 @@ impl Machine {
                 "machine supports 1..={MAX_CPUS} CPUs, got {cpus}"
             )));
         }
+        if config.connections == 0 {
+            return Err(SimError::config("machine needs at least one connection"));
+        }
+        if config.nics == 0 {
+            return Err(SimError::config("machine needs at least one NIC"));
+        }
+        if config.server.is_some_and(|server| server.backlog == 0) {
+            return Err(SimError::config("server listen backlog must be at least 1"));
+        }
         config.mem.validate()?;
         let nics_n = config.nics;
         let flows = config.connections;
-        assert!(flows > 0, "machine needs at least one connection");
         let mut mem = MemorySystem::new(config.mem.clone());
         let mut rng = SimRng::new(config.seed);
 
@@ -341,9 +351,12 @@ impl Machine {
             let home = steering.vector_home(q, total_queues, cpus);
             apic.set_affinity(v, CpuMask::single(home))?;
         }
-        let mut tasks = Vec::new();
-        let mut task_of_conn = Vec::new();
-        for (i, &q) in flow_queue.iter().enumerate() {
+        // Server workloads charge process context on each connection's
+        // home CPU and never run a scheduler task, so only ttcp
+        // workloads spawn one process per flow.
+        let ttcp_flows = if config.server.is_none() { flows } else { 0 };
+        let mut tasks = Vec::with_capacity(ttcp_flows);
+        for (i, &q) in flow_queue[..ttcp_flows].iter().enumerate() {
             // A pinned process lives on its queue's even-spread home CPU
             // (the paper's `sched_setaffinity` half — identical to the
             // old per-connection pin on the paper SUT, where flow i
@@ -353,11 +366,9 @@ impl Machine {
             } else {
                 CpuMask::all(cpus)
             };
-            let task = sched.spawn(format!("ttcp{i}"), mask)?;
-            task_of_conn.push(tasks.len());
+            let task = sched.spawn("ttcp", mask)?;
+            debug_assert_eq!(task.index(), i, "one task per flow, in flow order");
             tasks.push(TaskRun {
-                task,
-                conn: i,
                 remaining: config.workload.message_bytes,
                 blocked: None,
             });
@@ -467,7 +478,6 @@ impl Machine {
             server,
             pin_processes: spec.pin_processes,
             tasks,
-            task_of_conn,
             last_task_on: vec![None; cpus],
             run_since_sched: vec![0; cpus],
             flow_queue,
@@ -850,9 +860,9 @@ impl Machine {
     /// Seeds the run: the periodic timers (interrupt plane only — PMD
     /// cores neither balance nor rotate vectors), then the workload.
     /// ttcp senders are woken (a PMD core sends unwoken); receivers start
-    /// blocked with the peers streaming. A server workload parks every
-    /// task forever — server process context is charged directly on the
-    /// connection's home CPU — and opens a wave of connection arrivals.
+    /// blocked with the peers streaming. A server workload has no tasks —
+    /// server process context is charged directly on the connection's
+    /// home CPU — and opens a wave of connection arrivals.
     fn seed_work(&mut self) {
         if !self.polling() {
             // Recurring load balancing — only if enabled. Linux 2.4 itself
@@ -872,7 +882,7 @@ impl Machine {
             if !self.polling() {
                 // Wake every sender; placement spreads per policy.
                 for i in 0..self.tasks.len() {
-                    let task = self.tasks[i].task;
+                    let task = TaskId::new(i as u32);
                     let from = self
                         .sched
                         .task(task)
@@ -1015,8 +1025,7 @@ impl Machine {
             }
             self.run_since_sched[c] = 0;
         }
-        let ti = self.sched.current(cpu).expect("running task").index();
-        let flow = self.tasks[ti].conn;
+        let flow = self.sched.current(cpu).expect("running task").index();
         // `write()` fills the send buffer until it is full, then blocks —
         // the real ttcp dynamic that lets completions (and therefore
         // interrupt affinity) steer where the process wakes up. `read()`
@@ -1032,7 +1041,7 @@ impl Machine {
             }
         };
         if blocked.is_some() {
-            self.tasks[ti].blocked = blocked;
+            self.tasks[flow].blocked = blocked;
             self.sched.block_current(cpu);
         }
         // Timeslice expiry: 2.4-style global requeue (the expired task
@@ -1082,9 +1091,8 @@ impl Machine {
         };
         let cpu = CpuId::new(c as u32);
         let conn_id = ConnectionId::new(flow as u32);
-        let ti = self.task_of_conn[flow];
         let chunk_bytes =
-            (u64::from(room) * u64::from(self.config.stack.mss)).min(self.tasks[ti].remaining);
+            (u64::from(room) * u64::from(self.config.stack.mss)).min(self.tasks[flow].remaining);
         let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
         let queue = self.flow_queue[flow];
         let tx_ring = self.nics[self.queue_nic[queue]].tx_ring(self.queue_local[queue]);
@@ -1117,9 +1125,9 @@ impl Machine {
         }
         let now = self.clocks[c];
         self.put_on_wire(flow, &segs, now);
-        self.tasks[ti].remaining -= chunk_bytes;
-        if self.tasks[ti].remaining == 0 {
-            self.tasks[ti].remaining = self.config.workload.message_bytes;
+        self.tasks[flow].remaining -= chunk_bytes;
+        if self.tasks[flow].remaining == 0 {
+            self.tasks[flow].remaining = self.config.workload.message_bytes;
             self.on_message_complete(now);
         }
         true
@@ -1130,8 +1138,7 @@ impl Machine {
     fn recv_chunk(&mut self, c: usize, flow: usize) -> u64 {
         let cpu = CpuId::new(c as u32);
         let conn_id = ConnectionId::new(flow as u32);
-        let ti = self.task_of_conn[flow];
-        let want = self.tasks[ti].remaining;
+        let want = self.tasks[flow].remaining;
         let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
         let (got, delta) = self.charge(c, self.clocks[c], |stack, ctx| {
             stack.recvmsg(ctx, conn_id, want, cross)
@@ -1147,15 +1154,15 @@ impl Machine {
             self.refill_peer_window(flow, now);
         }
         let mut left = got;
-        while left >= self.tasks[ti].remaining {
-            left -= self.tasks[ti].remaining;
-            self.tasks[ti].remaining = self.config.workload.message_bytes;
+        while left >= self.tasks[flow].remaining {
+            left -= self.tasks[flow].remaining;
+            self.tasks[flow].remaining = self.config.workload.message_bytes;
             self.on_message_complete(now);
             if self.done {
                 return got;
             }
         }
-        self.tasks[ti].remaining -= left;
+        self.tasks[flow].remaining -= left;
         got
     }
 
@@ -1656,8 +1663,7 @@ impl Machine {
             self.refill_peer_window(flow, now);
         }
         // Wake whoever was blocked on this connection.
-        let ti = self.task_of_conn[flow];
-        let should_wake = match self.tasks[ti].blocked {
+        let should_wake = match self.tasks[flow].blocked {
             Some(BlockReason::TxSpace) => {
                 // High watermark: a third of the buffer free again, and
                 // the congestion window has room.
@@ -1670,7 +1676,7 @@ impl Machine {
             None => false,
         };
         if should_wake {
-            self.wake_task(ti, c, now);
+            self.wake_task(flow, c, now);
         }
     }
 
@@ -1982,8 +1988,8 @@ impl Machine {
         self.irq_cycles[tc] += self.cores[tc].busy_cycles() - start;
     }
 
-    fn wake_task(&mut self, ti: usize, from_c: usize, now: u64) {
-        let task = self.tasks[ti].task;
+    fn wake_task(&mut self, flow: usize, from_c: usize, now: u64) {
+        let task = TaskId::new(flow as u32);
         let from = CpuId::new(from_c as u32);
         // The bottom half hands the consumer off to its own CPU only if
         // that CPU is not carrying disproportionately more interrupt
@@ -1994,7 +2000,7 @@ impl Machine {
             .fold(f64::INFINITY, f64::min);
         let affine = self.irq_load(from_c) <= min_irq + self.config.tunables.irq_load_gate;
         let placement = self.sched.wake(task, from, affine).expect("task exists");
-        self.tasks[ti].blocked = None;
+        self.tasks[flow].blocked = None;
         if placement.needs_resched_ipi {
             self.deliver_ipi(from, placement.cpu, IpiKind::Reschedule, now);
         }

@@ -7,6 +7,14 @@
 //! within it. The [`RegionTable`] lays regions out in a flat physical
 //! address space, page-aligned so that distinct regions never share a
 //! cache line or a page.
+//!
+//! A region is only its placement, `{base, size}`. Names are kept apart,
+//! once per *run* of consecutive regions: either one [`RegionName`], or
+//! an indexed run `"{prefix}{i}.{field}"` that cycles through a field
+//! list for consecutive `i` — the shape of a per-flow slab. A
+//! million-flow machine's regions therefore cost 16 bytes each and their
+//! names a few dozen bytes in all; [`RegionTable::name`] renders a name
+//! when a report asks for it.
 
 use std::fmt;
 
@@ -41,7 +49,8 @@ impl fmt::Display for RegionId {
 /// per flow; naming each with an eager `format!` costs a heap allocation
 /// per region. The dominant shape — `"conn{index}.{field}"` — is carried
 /// here as a static prefix, a flow index, and a static suffix, so bulk
-/// provisioning performs zero format allocations. Ad-hoc names (NIC
+/// provisioning performs zero format allocations, and the region table
+/// folds consecutive indexed names into one run. Ad-hoc names (NIC
 /// queues, IRQ handlers) still flow through [`RegionName::Owned`].
 ///
 /// `Display` and `Debug` observe the *rendered* string, so an interned
@@ -146,28 +155,16 @@ impl From<String> for RegionName {
     }
 }
 
-/// A contiguous, page-aligned span of simulated physical memory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A contiguous, page-aligned span of simulated physical memory: just
+/// its placement. The name lives in the owning [`RegionTable`]
+/// ([`RegionTable::name`]), so a region is 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemRegion {
-    name: RegionName,
     base: u64,
     size: u64,
 }
 
 impl MemRegion {
-    /// Human-readable name ("conn3.tcp_context", "nic0.rx_ring", …),
-    /// rendered from the interned form.
-    #[must_use]
-    pub fn name(&self) -> String {
-        self.name.render()
-    }
-
-    /// The interned name, for allocation-free formatting via `Display`.
-    #[must_use]
-    pub fn raw_name(&self) -> &RegionName {
-        &self.name
-    }
-
     /// First byte address.
     #[must_use]
     pub fn base(&self) -> u64 {
@@ -189,10 +186,174 @@ impl MemRegion {
     }
 }
 
+/// One run of consecutive region requests (see [`Requests`]).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Run {
+    /// Position of the run's first request in the whole list.
+    start: usize,
+    kind: RunKind,
+}
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+enum RunKind {
+    /// A single request.
+    Single(RegionName, u64),
+    /// Request `k` of the run is named `"{prefix}{index + k / n}.{field}"`
+    /// with `(field, size) = fields[k % n]` and `n = fields.len()`: the
+    /// same fields, in the same order and sizes, for each of a range of
+    /// consecutive indices.
+    Indexed {
+        prefix: &'static str,
+        index: u32,
+        fields: Vec<(&'static str, u64)>,
+        /// The field position and index the run's next request would
+        /// have, so extending the run takes no division.
+        next: (usize, u64),
+    },
+}
+
+/// `(name, size)` region requests in allocation order, run-length
+/// encoded: a flow slab of any size — six fields for each of a range of
+/// flows — is one run, so storage grows with the number of name
+/// patterns, not with the number of regions.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct Requests {
+    runs: Vec<Run>,
+    len: usize,
+}
+
+impl Requests {
+    /// Appends one request, usually by extending the open run. A slab
+    /// plan calls this once per region from its caller's loop; left to
+    /// the inliner the call stays out of line there and costs about
+    /// twice as much, hence `always`, with new runs kept out of line.
+    #[inline(always)]
+    fn push(&mut self, name: RegionName, size: u64) {
+        if let RegionName::Indexed {
+            prefix,
+            index,
+            suffix,
+        } = name
+        {
+            if self.extend_last(prefix, index, suffix, size) {
+                self.len += 1;
+                return;
+            }
+        }
+        self.start_run(name, size);
+    }
+
+    /// Appends one request as a new run.
+    #[inline(never)]
+    fn start_run(&mut self, name: RegionName, size: u64) {
+        let kind = match name {
+            RegionName::Indexed {
+                prefix,
+                index,
+                suffix,
+            } => RunKind::Indexed {
+                prefix,
+                index,
+                fields: vec![(suffix, size)],
+                next: (0, u64::from(index) + 1),
+            },
+            name => RunKind::Single(name, size),
+        };
+        self.runs.push(Run {
+            start: self.len,
+            kind,
+        });
+        self.len += 1;
+    }
+
+    /// Appends `"{prefix}{index}.{suffix}"` to the last run if it
+    /// continues that run's cycle, or widens the cycle while the run has
+    /// completed exactly one pass over its first index. Returns whether
+    /// it did.
+    #[inline]
+    fn extend_last(&mut self, prefix: &str, index: u32, suffix: &'static str, size: u64) -> bool {
+        let Some(Run {
+            kind:
+                RunKind::Indexed {
+                    prefix: run_prefix,
+                    index: first,
+                    fields,
+                    next,
+                },
+            ..
+        }) = self.runs.last_mut()
+        else {
+            return false;
+        };
+        if !same_str(run_prefix, prefix) {
+            return false;
+        }
+        let (pos, expected) = *next;
+        let (field, field_size) = fields[pos];
+        if u64::from(index) == expected && field_size == size && same_str(field, suffix) {
+            *next = if pos + 1 == fields.len() {
+                (0, expected + 1)
+            } else {
+                (pos + 1, expected)
+            };
+            return true;
+        }
+        if pos == 0 && expected == u64::from(*first) + 1 && index == *first {
+            fields.push((suffix, size));
+            return true;
+        }
+        false
+    }
+
+    /// Moves every run of `other` to the end of this list.
+    fn append(&mut self, other: Requests) {
+        let offset = self.len;
+        self.runs.extend(other.runs.into_iter().map(|mut run| {
+            run.start += offset;
+            run
+        }));
+        self.len += other.len;
+    }
+
+    /// Number of requests in run `r`.
+    fn run_len(&self, r: usize) -> usize {
+        self.runs.get(r + 1).map_or(self.len, |next| next.start) - self.runs[r].start
+    }
+
+    /// Name of request `i`.
+    fn name(&self, i: usize) -> RegionName {
+        assert!(i < self.len, "region {i} out of range");
+        let run = &self.runs[self.runs.partition_point(|run| run.start <= i) - 1];
+        let k = i - run.start;
+        match &run.kind {
+            RunKind::Single(name, _) => name.clone(),
+            RunKind::Indexed {
+                prefix,
+                index,
+                fields,
+                ..
+            } => RegionName::indexed(
+                prefix,
+                index + (k / fields.len()) as u32,
+                fields[k % fields.len()].0,
+            ),
+        }
+    }
+}
+
+/// String equality with a pointer fast path: the names of a slab are
+/// usually the same `&'static str` literals request after request.
+fn same_str(a: &str, b: &str) -> bool {
+    (a.as_ptr() == b.as_ptr() && a.len() == b.len()) || a == b
+}
+
 /// Allocator and directory of all simulated memory regions.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RegionTable {
     regions: Vec<MemRegion>,
+    /// The requests the regions were carved from, one per region; names
+    /// render from here.
+    requests: Requests,
     next_base: u64,
     page_size: u64,
 }
@@ -211,33 +372,55 @@ impl RegionTable {
         );
         RegionTable {
             regions: Vec::new(),
+            requests: Requests::default(),
             // Leave page 0 unmapped, like a real kernel.
             next_base: page_size,
             page_size,
         }
     }
 
-    /// Reserves table capacity for `additional` more regions, so a bulk
-    /// provisioning pass never reallocates mid-loop.
-    pub fn reserve(&mut self, additional: usize) {
-        self.regions.reserve(additional);
-    }
-
     /// Allocates a region of at least `size` bytes (rounded up to one line
     /// is the caller's concern; zero-size regions are rounded up to one
     /// byte so `addr()` never divides by zero).
     pub fn add(&mut self, name: impl Into<RegionName>, size: u64) -> RegionId {
+        self.requests.push(name.into(), size);
+        self.carve(size)
+    }
+
+    /// Allocates every request of `plan`, in order, exactly as a loop of
+    /// [`add`](Self::add) calls would.
+    pub(crate) fn add_plan(&mut self, plan: RegionPlan) -> RegionSpan {
+        let requests = plan.requests;
+        let span = RegionSpan::new(self.regions.len(), requests.len);
+        self.regions.reserve(requests.len);
+        for (r, run) in requests.runs.iter().enumerate() {
+            let len = requests.run_len(r);
+            match &run.kind {
+                RunKind::Single(_, size) => {
+                    self.carve(*size);
+                }
+                RunKind::Indexed { fields, .. } => {
+                    for (_, size) in fields.iter().cycle().take(len) {
+                        self.carve(*size);
+                    }
+                }
+            }
+        }
+        self.requests.append(requests);
+        span
+    }
+
+    /// Places the next region right after the previous one's last page.
+    fn carve(&mut self, size: u64) -> RegionId {
         let size = size.max(1);
         let id = RegionId(self.regions.len() as u32);
-        let region = MemRegion {
-            name: name.into(),
+        self.regions.push(MemRegion {
             base: self.next_base,
             size,
-        };
-        // Advance to the next page boundary past the region.
-        let end = self.next_base + size;
-        self.next_base = end.div_ceil(self.page_size) * self.page_size;
-        self.regions.push(region);
+        });
+        // Advance to the next page boundary past the region (the page
+        // size is a power of two, so a mask rounds up without a divide).
+        self.next_base = (self.next_base + size + self.page_size - 1) & !(self.page_size - 1);
         id
     }
 
@@ -247,8 +430,19 @@ impl RegionTable {
     ///
     /// Panics if `id` did not come from this table.
     #[must_use]
-    pub fn get(&self, id: RegionId) -> &MemRegion {
-        &self.regions[id.index()]
+    pub fn get(&self, id: RegionId) -> MemRegion {
+        self.regions[id.index()]
+    }
+
+    /// The region's name ("conn3.tcp_context", "nic0.rx_ring", …),
+    /// rendered from the run it was allocated in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from this table.
+    #[must_use]
+    pub fn name(&self, id: RegionId) -> RegionName {
+        self.requests.name(id.index())
     }
 
     /// Number of regions allocated.
@@ -264,11 +458,26 @@ impl RegionTable {
     }
 
     /// Iterates over `(id, region)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (RegionId, &MemRegion)> {
+    pub fn iter(&self) -> impl Iterator<Item = (RegionId, MemRegion)> + '_ {
         self.regions
             .iter()
             .enumerate()
-            .map(|(i, r)| (RegionId(i as u32), r))
+            .map(|(i, &r)| (RegionId(i as u32), r))
+    }
+
+    /// Last line of region `index`'s own bytes, for lines of
+    /// `1 << line_shift` bytes: the bound on which lines count toward a
+    /// region's exclusivity (touches can run past a region's end into
+    /// overflow pages attributed to it; those lines must not count).
+    #[inline]
+    pub(crate) fn last_line(&self, index: u32, line_shift: u32) -> u64 {
+        let r = self.regions[index as usize];
+        (r.base + r.size - 1) >> line_shift
+    }
+
+    /// The regions allocated after the first `from`, in id order.
+    pub(crate) fn since(&self, from: usize) -> &[MemRegion] {
+        &self.regions[from..]
     }
 
     /// Total bytes of simulated memory spanned (including alignment gaps).
@@ -276,50 +485,58 @@ impl RegionTable {
     pub fn footprint(&self) -> u64 {
         self.next_base
     }
+
+    #[cfg(test)]
+    fn name_runs(&self) -> usize {
+        self.requests.runs.len()
+    }
 }
 
 /// An ordered batch of region requests for
 /// [`MemorySystem::add_regions_bulk`](crate::MemorySystem::add_regions_bulk).
 ///
-/// The plan is just `(name, size)` pairs in allocation order; building
-/// one costs no formatting when the names are interned
-/// ([`RegionName::indexed`]), so a million-flow provisioning pass
-/// allocates exactly one `Vec`.
+/// Requests are kept run-length encoded: consecutive
+/// [`RegionName::indexed`] requests that repeat the same fields and sizes
+/// for consecutive indices fold into one run, so a million-flow plan
+/// takes a few dozen bytes and [`add`](Self::add) allocates only when a
+/// new run starts. The region table keeps the runs to render names.
 #[derive(Debug, Default)]
 pub struct RegionPlan {
-    entries: Vec<(RegionName, u64)>,
+    requests: Requests,
 }
 
 impl RegionPlan {
-    /// Creates an empty plan with room for `capacity` requests.
+    /// Creates an empty plan for about `_requests` requests. The runs
+    /// take the same room whatever the count, so nothing is reserved;
+    /// this is [`RegionPlan::default`] under the name callers that size
+    /// their plans up front use.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        RegionPlan {
-            entries: Vec::with_capacity(capacity),
-        }
+    pub fn with_capacity(_requests: usize) -> Self {
+        RegionPlan::default()
     }
 
     /// Appends a region request. Requests are allocated in insertion
     /// order, exactly as an equivalent sequence of `add_region` calls.
+    #[inline]
     pub fn add(&mut self, name: impl Into<RegionName>, size: u64) {
-        self.entries.push((name.into(), size));
+        self.requests.push(name.into(), size);
     }
 
     /// Number of requests in the plan.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.requests.len
     }
 
     /// Returns `true` if the plan holds no requests.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.requests.len == 0
     }
 
-    /// Consumes the plan, yielding the requests in allocation order.
-    pub(crate) fn into_entries(self) -> Vec<(RegionName, u64)> {
-        self.entries
+    #[cfg(test)]
+    fn name_runs(&self) -> usize {
+        self.requests.runs.len()
     }
 }
 
@@ -425,7 +642,7 @@ mod tests {
         t.add("y", 1);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-        let names: Vec<String> = t.iter().map(|(_, r)| r.name()).collect();
+        let names: Vec<String> = t.iter().map(|(id, _)| t.name(id).render()).collect();
         assert_eq!(names, ["x", "y"]);
     }
 
@@ -474,6 +691,74 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn region_span_bounds_checked() {
         let _ = RegionSpan::new(0, 2).get(2);
+    }
+
+    #[test]
+    fn name_storage_does_not_scale_with_regions() {
+        assert_eq!(size_of::<MemRegion>(), 16);
+        let fields = [
+            ("tcp_ctx", 1344),
+            ("sock", 1472),
+            ("skb_meta", 4096),
+            ("skb_data", 16384),
+            ("tx_app_buf", 4096),
+            ("rx_app_buf", 4096),
+        ];
+        let runs = |flows: u32| {
+            let mut plan = RegionPlan::default();
+            for flow in 0..flows {
+                for (field, size) in fields {
+                    plan.add(RegionName::indexed("conn", flow, field), size);
+                }
+            }
+            let plan_runs = plan.name_runs();
+            let mut t = RegionTable::new(4096);
+            t.add("tcp_v4_rcv.text", 2048);
+            t.add_plan(plan);
+            t.add("tcp_fin.text", 512);
+            assert_eq!(t.len(), 6 * flows as usize + 2);
+            (plan_runs, t.name_runs())
+        };
+        assert_eq!(runs(100_000), (1, 3));
+        assert_eq!(runs(100_000), runs(10));
+    }
+
+    #[test]
+    fn runs_fold_only_what_renders_the_same() {
+        let mut t = RegionTable::new(4096);
+        // A skipped index and a changed size start new runs; a new or
+        // repeated field on a run's first index widens its cycle.
+        let names = [
+            ("conn", 0, "a", 64),
+            ("conn", 0, "b", 64),
+            ("conn", 1, "a", 64),
+            ("conn", 1, "b", 64),
+            ("conn", 3, "a", 64),
+            ("conn", 3, "b", 128),
+            ("conn", 4, "a", 64),
+            ("conn", 4, "b", 64),
+            ("conn", 5, "a", 64),
+            ("conn", 5, "a", 64),
+            ("flow", 6, "a", 64),
+        ];
+        let ids: Vec<RegionId> = names
+            .iter()
+            .map(|&(prefix, i, field, size)| t.add(RegionName::indexed(prefix, i, field), size))
+            .collect();
+        t.add(String::from("nic0.rx"), 64);
+        for (&id, &(prefix, i, field, _)) in ids.iter().zip(&names) {
+            assert_eq!(t.name(id).render(), format!("{prefix}{i}.{field}"));
+        }
+        assert_eq!(t.name(RegionId(11)).render(), "nic0.rx");
+        assert_eq!(t.name_runs(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn name_of_unknown_region_panics() {
+        let mut t = RegionTable::new(4096);
+        t.add("a", 1);
+        let _ = t.name(RegionId(1));
     }
 
     #[test]

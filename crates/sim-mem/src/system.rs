@@ -415,10 +415,6 @@ pub struct MemorySystem {
     /// directory-free. The directory *owner* is deliberately excluded
     /// from the predicate (see [`MemorySystem::dma_read`]).
     excl: ZeroedVec<u32>,
-    /// Last line of each region's own range, for bounding which lines
-    /// count toward `excl` (touches can run past a region's end into
-    /// overflow pages attributed to it; those lines must not count).
-    region_last: Vec<u64>,
     /// Reused storage-slot buffer: the walks record where each line of
     /// the touch or fetch lands, and a claimable walk copies it into the
     /// memo's arena.
@@ -561,7 +557,6 @@ impl MemorySystem {
             memos,
             gens: ZeroedVec::new(),
             excl: ZeroedVec::new(),
-            region_last: Vec::new(),
             walk_slots: Vec::new(),
             dma_sharers: Vec::new(),
             remote_invals: Vec::new(),
@@ -581,10 +576,8 @@ impl MemorySystem {
     /// Allocates a named region of simulated memory.
     pub fn add_region(&mut self, name: impl Into<RegionName>, bytes: u64) -> RegionId {
         let id = self.regions.add(name, bytes);
-        let (base, size) = {
-            let r = self.regions.get(id);
-            (r.base(), r.size())
-        };
+        let r = self.regions.get(id);
+        let (base, size) = (r.base(), r.size());
         // A touch starting near the region end runs past it by up to
         // `size - 1` bytes (see `MemRegion::addr`); cover the worst case
         // so line indexing never leaves the flat structures.
@@ -603,36 +596,39 @@ impl MemorySystem {
         let slots = self.regions.len() * ncpus;
         self.gens.grow(slots);
         self.excl.grow(slots);
-        self.region_last.push((base + size - 1) >> self.line_shift);
         id
     }
 
     /// Allocates every region in `plan` in one batched pass, returning
     /// the dense id range. Produces state byte-identical to calling
     /// [`add_region`](Self::add_region) once per plan entry, in order —
-    /// same `RegionId`s, bases, footprint, directory/page-table lengths,
-    /// and page ownership — but pays O(1) grows instead of O(n).
+    /// same `RegionId`s, names, bases, footprint, directory/page-table
+    /// lengths, and page ownership — but pays O(1) grows instead of O(n)
+    /// and writes each page's owner once.
     ///
     /// Layout-identity argument (property-tested in
     /// `tests/proptests.rs`):
     ///
-    /// - **Ids and bases.** `RegionTable::add` is independent of the
-    ///   surrounding bookkeeping, so pushing all table entries first
-    ///   yields the same ids and bases as the interleaved sequence.
+    /// - **Ids, bases and names.** `RegionTable` placement is independent
+    ///   of the surrounding bookkeeping, so carving all regions first
+    ///   yields the same ids and bases as the interleaved sequence; the
+    ///   plan's name runs move into the table as they are.
     /// - **Structure lengths.** The incremental path grows `directory`
     ///   and `page_region` monotonically to per-region high-water marks
-    ///   (`cover_i`), so the final lengths are the running *maximum*
-    ///   over all entries — computed here in one scan, applied in one
-    ///   `grow`. Both paths fill with zeroes (`DirEntry::default()`, page
-    ///   owner `0`), and cells beyond every page-run write end up `0` on
-    ///   both paths.
-    /// - **Page ownership.** Each region writes the run
-    ///   `[first_page_i, pages_i)`; runs *overlap* (an earlier large
-    ///   region's cover can reach past a later small region's), and the
-    ///   incremental path resolves overlaps last-writer-wins in
-    ///   allocation order. Replaying the same writes in the same order
-    ///   over the pre-sized table reproduces the exact final ownership.
-    ///   A reverse-order or watermark fill would *not*.
+    ///   (`cover_i`), so the final lengths follow the largest cover.
+    ///   `ZeroedVec::grow` never shrinks, so growing to each cover in
+    ///   turn ends at the same length; both paths fill with zeroes
+    ///   (`DirEntry::default()`, page owner `0`).
+    /// - **Page ownership.** Region `i` writes the run
+    ///   `[first_page_i, pages_i)`, and the incremental path resolves
+    ///   overlapping runs last-writer-wins in allocation order, so a
+    ///   page's final owner is the *last* region whose run holds it.
+    ///   Each run reaches past the next region's first page
+    ///   (`cover_i >= base_{i+1}`), so the runs of regions `i+1..` cover
+    ///   one contiguous range `[first_page_{i+1}, hi)`. Walking the
+    ///   regions backwards, region `i` therefore owns
+    ///   `[first_page_i, first_page_{i+1})` plus `[hi, pages_i)` when its
+    ///   run reaches past `hi` — each page is written exactly once.
     /// - **Per-CPU vectors.** `gens`/`excl` grow by exactly `ncpus`
     ///   defaults per region regardless of interleaving; one `grow` to
     ///   `regions.len() * ncpus` is equivalent.
@@ -642,52 +638,40 @@ impl MemorySystem {
     /// advances `next_base` to exactly the next region's base), and for
     /// the last entry is the final footprint.
     pub fn add_regions_bulk(&mut self, plan: RegionPlan) -> RegionSpan {
-        let n = plan.len();
         let first = self.regions.len();
-        let span = RegionSpan::new(first, n);
-        if n == 0 {
+        let span = self.regions.add_plan(plan);
+        if span.is_empty() {
             return span;
         }
-        self.regions.reserve(n);
-        for (name, bytes) in plan.into_entries() {
-            self.regions.add(name, bytes);
-        }
         let footprint = self.regions.footprint();
-        let mut max_lines = self.directory.len();
-        let mut max_pages = self.page_region.len();
-        for i in 0..n {
-            let r = self.regions.get(span.get(i));
-            let after = if i + 1 < n {
-                self.regions.get(span.get(i + 1)).base()
-            } else {
-                footprint
-            };
-            let cover = (r.base() + 2 * r.size()).max(after);
-            max_lines = max_lines.max((cover >> self.line_shift) as usize + 1);
-            max_pages = max_pages.max((cover >> self.page_shift) as usize + 1);
-        }
+        let regions = self.regions.since(first);
         // Zero-touch growth: the grown tails are fresh zeroed pages (see
         // `ZeroedVec`), faulted in only where the run later reaches —
         // at million-flow sizes the directory alone is gigabytes, and
-        // eagerly dirtying it would dominate construction.
-        self.directory.grow(max_lines);
-        self.page_region.grow(max_pages);
-        self.region_last.reserve(n);
-        for i in 0..n {
-            let id = span.get(i);
-            let r = self.regions.get(id);
+        // eagerly dirtying it would dominate construction. Sizing the
+        // page table to the footprint's page up front never overshoots
+        // (the last region's cover ends at or past the footprint); a
+        // region whose cover reaches further grows it in the loop.
+        self.page_region
+            .grow((footprint >> self.page_shift) as usize + 1);
+        let (mut after, mut next_first, mut hi, mut reach) = (footprint, usize::MAX, 0, footprint);
+        for (i, r) in regions.iter().enumerate().rev() {
             let (base, size) = (r.base(), r.size());
-            let after = if i + 1 < n {
-                self.regions.get(span.get(i + 1)).base()
-            } else {
-                footprint
-            };
             let cover = (base + 2 * size).max(after);
+            reach = reach.max(cover);
             let first_page = (base >> self.page_shift) as usize;
             let pages = (cover >> self.page_shift) as usize + 1;
-            self.page_region[first_page..pages].fill(id.index() as u32);
-            self.region_last.push((base + size - 1) >> self.line_shift);
+            self.page_region.grow(pages);
+            let id = (first + i) as u32;
+            let own_end = next_first.min(pages);
+            self.page_region[first_page..own_end].fill(id);
+            if pages > hi {
+                self.page_region[hi.max(own_end)..pages].fill(id);
+                hi = pages;
+            }
+            (after, next_first) = (base, first_page);
         }
+        self.directory.grow((reach >> self.line_shift) as usize + 1);
         let ncpus = self.cpus.len();
         let slots = self.regions.len() * ncpus;
         self.gens.grow(slots);
@@ -752,6 +736,7 @@ impl MemorySystem {
 
         let me_bit = 1u32 << idx;
         let me = idx as u8;
+        let line_shift = self.line_shift;
         let MemorySystem {
             cpus,
             directory,
@@ -759,7 +744,7 @@ impl MemorySystem {
             memos,
             gens,
             excl,
-            region_last,
+            regions,
             walk_slots: span_slots,
             remote_invals,
             remote_cleans,
@@ -900,7 +885,7 @@ impl MemorySystem {
                         if others != 0 {
                             let rid = page_region[(line >> lpp) as usize];
                             note_bump(bump_masks, rid, others);
-                            if line <= region_last[rid as usize] {
+                            if line <= regions.last_line(rid, line_shift) {
                                 excl_delta(excl, rid as usize * ncpus, old, old & me_bit);
                             }
                             remote_invals.push((line, others));
@@ -967,7 +952,7 @@ impl MemorySystem {
                                     e.clear_owner();
                                 }
                                 let vrid = page_region[(victim >> lpp) as usize];
-                                if victim <= region_last[vrid as usize] {
+                                if victim <= regions.last_line(vrid, line_shift) {
                                     excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
                                 }
                                 note_bump(bump_masks, vrid, me_bit);
@@ -978,7 +963,7 @@ impl MemorySystem {
                             // of this line's region may change.
                             directory[line as usize].sharers = me_bit;
                             let rid = page_region[(line >> lpp) as usize];
-                            if line <= region_last[rid as usize] {
+                            if line <= regions.last_line(rid, line_shift) {
                                 excl_delta(excl, rid as usize * ncpus, 0, me_bit);
                             }
                             note_bump(bump_masks, rid, all_mask);
@@ -1043,7 +1028,7 @@ impl MemorySystem {
                                 e.clear_owner();
                             }
                             let vrid = page_region[(victim >> lpp) as usize];
-                            if victim <= region_last[vrid as usize] {
+                            if victim <= regions.last_line(vrid, line_shift) {
                                 excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
                             }
                             note_bump(bump_masks, vrid, me_bit);
@@ -1053,7 +1038,7 @@ impl MemorySystem {
                         let old = entry.sharers;
                         entry.sharers = old | me_bit;
                         let rid = page_region[(line >> lpp) as usize];
-                        if line <= region_last[rid as usize] {
+                        if line <= regions.last_line(rid, line_shift) {
                             excl_delta(excl, rid as usize * ncpus, old, old | me_bit);
                         }
                         note_bump(bump_masks, rid, all_mask);
@@ -1181,6 +1166,7 @@ impl MemorySystem {
         result.itlb_misses = probe_pages(&mut self.cpus[idx].itlb, first, last, lpp);
         let me_bit = 1u32 << idx;
         let me = idx as u8;
+        let line_shift = self.line_shift;
         let MemorySystem {
             cpus,
             directory,
@@ -1188,7 +1174,7 @@ impl MemorySystem {
             memos,
             gens,
             excl,
-            region_last,
+            regions,
             walk_slots: slot_buf,
             bump_masks,
             ..
@@ -1268,7 +1254,7 @@ impl MemorySystem {
                     e.clear_owner();
                 }
                 let vrid = page_region[(victim >> lpp) as usize];
-                if victim <= region_last[vrid as usize] {
+                if victim <= regions.last_line(vrid, line_shift) {
                     excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
                 }
                 note_bump(bump_masks, vrid, me_bit);
@@ -1277,7 +1263,7 @@ impl MemorySystem {
             let old = e.sharers;
             e.sharers = old | me_bit;
             let rid = page_region[(line >> lpp) as usize];
-            if line <= region_last[rid as usize] {
+            if line <= regions.last_line(rid, line_shift) {
                 excl_delta(excl, rid as usize * ncpus, old, old | me_bit);
             }
             note_bump(bump_masks, rid, all_mask);
@@ -1321,13 +1307,14 @@ impl MemorySystem {
         let first = self.line_of(start);
         let last = self.line_of(end.saturating_sub(1));
         let lpp = self.page_shift - self.line_shift;
+        let line_shift = self.line_shift;
         let MemorySystem {
             cpus,
             directory,
             page_region,
             gens,
             excl,
-            region_last,
+            regions,
             dma_sharers,
             bump_masks,
             ..
@@ -1356,7 +1343,7 @@ impl MemorySystem {
                 union_mask |= mask;
                 *entry = DirEntry::default();
                 let rid = page_region[(line >> lpp) as usize];
-                if line <= region_last[rid as usize] {
+                if line <= regions.last_line(rid, line_shift) {
                     excl_delta(excl, rid as usize * ncpus, mask, 0);
                 }
                 note_bump(bump_masks, rid, mask);
@@ -1527,13 +1514,13 @@ impl MemorySystem {
                     assert_eq!(
                         bit, in_llc,
                         "line {line} of {}: sharer bit {bit} but LLC residency {in_llc} on cpu {cpu}",
-                        r.name()
+                        self.regions.name(id)
                     );
                     if !in_llc {
                         assert!(
                             !c.l1.contains(line) && !c.l2.contains(line),
                             "line {line} of {}: inner level holds a line outside the LLC on cpu {cpu}",
-                            r.name()
+                            self.regions.name(id)
                         );
                     }
                 }
@@ -1544,15 +1531,14 @@ impl MemorySystem {
                     self.excl[b + cpu],
                     want,
                     "excl[{}][{cpu}] diverged from full recompute",
-                    r.name()
+                    self.regions.name(id)
                 );
             }
         }
     }
 
     /// Snapshot of the construction-time layout: directory and page-table
-    /// shape, full page ownership, per-region last-line indexes, and the
-    /// per-CPU vector lengths. Two systems built by different provisioning
+    /// shape, full page ownership, and the per-CPU vector lengths. Two systems built by different provisioning
     /// paths (incremental `add_region` loop vs `add_regions_bulk`) must
     /// compare equal here — the equivalence the bulk path's property test
     /// pins.
@@ -1561,7 +1547,6 @@ impl MemorySystem {
         ConstructionLayout {
             directory_lines: self.directory.len(),
             page_region: self.page_region.to_vec(),
-            region_last: self.region_last.clone(),
             gens: self.gens.to_vec(),
             excl: self.excl.to_vec(),
         }
@@ -1590,8 +1575,6 @@ pub struct ConstructionLayout {
     pub directory_lines: usize,
     /// Full page-ownership table (`page -> region index`).
     pub page_region: Vec<u32>,
-    /// Per-region last-line index.
-    pub region_last: Vec<u64>,
     /// Per-region × per-CPU residency generations.
     pub gens: Vec<u64>,
     /// Per-region × per-CPU live exclusivity counts.

@@ -157,11 +157,26 @@ proptest! {
     /// and the overlap case where a large region's cover runs past later
     /// small regions' pages), optionally on top of pre-existing
     /// incrementally-added regions.
+    ///
+    /// Regions no longer carry their names, so every id's name is
+    /// compared too. Each segment of the plan is a static name, an owned
+    /// name, or a block of flows `prefix{i}.{field}` over one of two
+    /// field lists, which may repeat a field. Consecutive blocks often
+    /// share a prefix and field list, and may skip indices, switch to
+    /// the other list, or change one size for their last flow — every
+    /// way a run of indexed names can continue, start, widen or break.
+    /// The incremental side names each region with the eager string.
     #[test]
     fn bulk_region_allocation_matches_incremental(
         pre in prop::collection::vec(1u64..5000, 0..4),
-        sizes in prop::collection::vec(0u64..40_000, 1..40),
+        field_lists in prop::collection::vec(
+            prop::collection::vec((0usize..4, 0u64..20_000), 1..4),
+            2..3,
+        ),
+        segments in prop::collection::vec((0u32..8, 0u32..3, 1u32..5, 0usize..2), 1..12),
     ) {
+        const FIELDS: [&str; 4] = ["tcp_ctx", "sock", "skb_data", "sock"];
+        const STATICS: [&str; 3] = ["tcp_v4_rcv.text", "tcp_fin.text", "conn0.sock"];
         let mut inc = MemorySystem::new(MemoryConfig::tiny(3));
         let mut bulk = MemorySystem::new(MemoryConfig::tiny(3));
         for (i, &s) in pre.iter().enumerate() {
@@ -169,20 +184,47 @@ proptest! {
             let b = bulk.add_region(format!("pre{i}"), s);
             prop_assert_eq!(a, b);
         }
-        let mut plan = RegionPlan::with_capacity(sizes.len());
-        let mut inc_ids = Vec::with_capacity(sizes.len());
-        for (i, &s) in sizes.iter().enumerate() {
-            inc_ids.push(inc.add_region(format!("r{i}.buf"), s));
-            plan.add(RegionName::indexed("r", i as u32, "buf"), s);
+        let mut requests: Vec<(RegionName, u64)> = Vec::new();
+        let mut next_index = 0u32;
+        for &(kind, skip, flows, list) in &segments {
+            let fields = &field_lists[list];
+            match kind {
+                0 => requests.push((STATICS[skip as usize].into(), fields[0].1)),
+                1 => requests.push((format!("dev{skip}.ring").into(), fields[0].1)),
+                _ => {
+                    let prefix = if kind == 7 { "flow" } else { "conn" };
+                    let first = next_index + skip;
+                    for flow in first..first + flows {
+                        for (j, &(field, size)) in fields.iter().enumerate() {
+                            let last = flow + 1 == first + flows;
+                            let size = if kind == 6 && last && j == 0 { size + 64 } else { size };
+                            requests.push((RegionName::indexed(prefix, flow, FIELDS[field]), size));
+                        }
+                    }
+                    next_index = first + flows;
+                }
+            }
+        }
+        let mut plan = RegionPlan::default();
+        let mut inc_ids = Vec::with_capacity(requests.len());
+        for (name, size) in requests {
+            inc_ids.push(inc.add_region(name.render(), size));
+            plan.add(name, size);
         }
         let span = bulk.add_regions_bulk(plan);
-        prop_assert_eq!(span.len(), sizes.len());
+        prop_assert_eq!(span.len(), inc_ids.len());
         for (i, &want) in inc_ids.iter().enumerate() {
             prop_assert_eq!(span.get(i), want);
             let (ri, rb) = (inc.regions().get(want), bulk.regions().get(want));
             prop_assert_eq!(ri, rb, "region {} diverged", i);
         }
         prop_assert_eq!(inc.regions().len(), bulk.regions().len());
+        for (id, _) in inc.regions().iter() {
+            prop_assert_eq!(
+                inc.regions().name(id).render(),
+                bulk.regions().name(id).render()
+            );
+        }
         prop_assert_eq!(inc.regions().footprint(), bulk.regions().footprint());
         prop_assert_eq!(inc.construction_layout(), bulk.construction_layout());
         bulk.verify_incremental_state();

@@ -50,6 +50,6 @@ pub use ipi::{IpiFabric, IpiKind};
 pub use pmd::{PmdConfig, PmdCore};
 pub use scheduler::{Scheduler, SchedulerConfig, SchedulerStats, WakePlacement};
 pub use softirq::SoftirqQueue;
-pub use spinlock::{LockAcquisition, SpinLock, SpinLockStats};
+pub use spinlock::{LockAcquisition, SpinLock, SpinLockCosts, SpinLockStats};
 pub use task::{Task, TaskState};
 pub use timer::TimerWheel;

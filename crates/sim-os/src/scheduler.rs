@@ -21,6 +21,7 @@
 //!   waker requires an inter-processor interrupt — the machine-clear
 //!   source the paper identifies in the TCP engine.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
@@ -153,7 +154,11 @@ impl Scheduler {
     ///
     /// Returns [`SimError::EmptyAffinityMask`] if the mask selects none of
     /// this machine's CPUs.
-    pub fn spawn(&mut self, name: impl Into<String>, affinity: CpuMask) -> Result<TaskId> {
+    pub fn spawn(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        affinity: CpuMask,
+    ) -> Result<TaskId> {
         self.generation += 1;
         let effective = affinity.and(CpuMask::all(self.config.cpus));
         if effective.is_empty() {

@@ -95,68 +95,58 @@ impl SpinLockStats {
     }
 }
 
-/// A modelled spinlock.
+/// A modelled spinlock: only its statistics.
 ///
-/// Whether an acquisition is contended is the *caller's* decision — in
-/// the machine model it depends on whether another CPU is concurrently
-/// inside the same connection's critical sections. The lock turns that
-/// decision into instruction/branch/cycle accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The cost model is a separate [`SpinLockCosts`] passed to each
+/// acquisition, so a family of locks (every socket's `sk_lock`) shares
+/// one table and each lock is 24 bytes. Whether an acquisition is
+/// contended is the *caller's* decision — in the machine model it
+/// depends on whether another CPU is concurrently inside the same
+/// connection's critical sections. The lock turns that decision into
+/// instruction/branch/cycle accounting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpinLock {
-    name: String,
-    costs: SpinLockCosts,
     stats: SpinLockStats,
 }
 
 impl SpinLock {
-    /// Creates a lock with default costs.
+    /// Creates an unused lock.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        SpinLock::with_costs(name, SpinLockCosts::default())
+    pub fn new() -> Self {
+        SpinLock::default()
     }
 
-    /// Creates a lock with explicit costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_spin >= max_spin`.
-    #[must_use]
-    pub fn with_costs(name: impl Into<String>, costs: SpinLockCosts) -> Self {
-        assert!(costs.min_spin < costs.max_spin, "empty spin range");
-        SpinLock {
-            name: name.into(),
-            costs,
-            stats: SpinLockStats::default(),
-        }
-    }
-
-    /// Lock name (for reports).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Performs one acquisition.
+    /// Performs one acquisition priced by `costs`.
     ///
     /// `contended` says whether another CPU currently holds the lock;
     /// `rng` draws the spin length when it does. The returned accounting
     /// covers the full acquire (spin included).
-    pub fn acquire(&mut self, contended: bool, rng: &mut SimRng) -> LockAcquisition {
+    ///
+    /// # Panics
+    ///
+    /// Panics on a contended acquire if `costs.min_spin >= costs.max_spin`.
+    pub fn acquire(
+        &mut self,
+        costs: &SpinLockCosts,
+        contended: bool,
+        rng: &mut SimRng,
+    ) -> LockAcquisition {
         self.stats.acquisitions += 1;
         if !contended {
             // lock decb; js (not taken, almost always predicted).
-            let mispredicts = u64::from(rng.chance(self.costs.uncontended_mispredict_rate));
+            let mispredicts = u64::from(rng.chance(costs.uncontended_mispredict_rate));
             return LockAcquisition {
                 instructions: 2,
                 branches: 1,
                 mispredicts,
-                cycles: self.costs.atomic_cycles + mispredicts * 20,
+                cycles: costs.atomic_cycles + mispredicts * 20,
                 contended: false,
                 spin_iterations: 0,
             };
         }
+        assert!(costs.min_spin < costs.max_spin, "empty spin range");
         self.stats.contended += 1;
-        let iters = rng.range(self.costs.min_spin, self.costs.max_spin);
+        let iters = rng.range(costs.min_spin, costs.max_spin);
         self.stats.spin_iterations += iters;
         // Entry: lock decb; js (taken, mispredicted — the uncommon path).
         // Each iteration: cmpb; repz nop; jle (taken).
@@ -164,7 +154,7 @@ impl SpinLock {
         let instructions = 2 + iters * 3 + 1 + 2;
         let branches = 1 + iters + 1; // js + per-iter jle + jmp (retry js folded)
         let mispredicts = 2; // the js-taken entry and the jle exit
-        let cycles = self.costs.atomic_cycles * 2 + iters * self.costs.spin_iter_cycles;
+        let cycles = costs.atomic_cycles * 2 + iters * costs.spin_iter_cycles;
         LockAcquisition {
             instructions,
             branches,
@@ -193,9 +183,9 @@ mod tests {
 
     #[test]
     fn uncontended_is_two_instructions() {
-        let mut lock = SpinLock::new("sk_lock");
+        let mut lock = SpinLock::new();
         let mut rng = SimRng::new(1);
-        let a = lock.acquire(false, &mut rng);
+        let a = lock.acquire(&SpinLockCosts::default(), false, &mut rng);
         assert_eq!(a.instructions, 2);
         assert_eq!(a.branches, 1);
         assert!(a.mispredicts <= 1);
@@ -205,9 +195,9 @@ mod tests {
 
     #[test]
     fn contended_scales_with_spin() {
-        let mut lock = SpinLock::new("sk_lock");
+        let mut lock = SpinLock::new();
         let mut rng = SimRng::new(2);
-        let a = lock.acquire(true, &mut rng);
+        let a = lock.acquire(&SpinLockCosts::default(), true, &mut rng);
         assert!(a.contended);
         assert!(a.spin_iterations >= 50 && a.spin_iterations < 400);
         assert_eq!(a.instructions, 2 + a.spin_iterations * 3 + 3);
@@ -222,16 +212,17 @@ mod tests {
         // contended case has far more branches but a *lower* mispredict
         // ratio; the uncontended case has few branches so one mispredict
         // weighs heavily.
-        let mut lock = SpinLock::new("l");
+        let mut lock = SpinLock::new();
+        let costs = SpinLockCosts::default();
         let mut rng = SimRng::new(3);
         let mut no_aff = LockAcquisition::default();
         let mut full_aff = LockAcquisition::default();
         for _ in 0..1000 {
-            let c = lock.acquire(true, &mut rng);
+            let c = lock.acquire(&costs, true, &mut rng);
             no_aff.instructions += c.instructions;
             no_aff.branches += c.branches;
             no_aff.mispredicts += c.mispredicts;
-            let u = lock.acquire(false, &mut rng);
+            let u = lock.acquire(&costs, false, &mut rng);
             full_aff.instructions += u.instructions;
             full_aff.branches += u.branches;
             full_aff.mispredicts += u.mispredicts;
@@ -250,11 +241,12 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut lock = SpinLock::new("l");
+        let mut lock = SpinLock::new();
+        let costs = SpinLockCosts::default();
         let mut rng = SimRng::new(4);
-        lock.acquire(false, &mut rng);
-        lock.acquire(true, &mut rng);
-        lock.acquire(true, &mut rng);
+        lock.acquire(&costs, false, &mut rng);
+        lock.acquire(&costs, true, &mut rng);
+        lock.acquire(&costs, true, &mut rng);
         let s = lock.stats();
         assert_eq!(s.acquisitions, 3);
         assert_eq!(s.contended, 2);
@@ -267,12 +259,16 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mut l1 = SpinLock::new("a");
-        let mut l2 = SpinLock::new("a");
+        let costs = SpinLockCosts::default();
+        let mut l1 = SpinLock::new();
+        let mut l2 = SpinLock::new();
         let mut r1 = SimRng::new(9);
         let mut r2 = SimRng::new(9);
         for _ in 0..50 {
-            assert_eq!(l1.acquire(true, &mut r1), l2.acquire(true, &mut r2));
+            assert_eq!(
+                l1.acquire(&costs, true, &mut r1),
+                l2.acquire(&costs, true, &mut r2)
+            );
         }
     }
 
@@ -284,6 +280,6 @@ mod tests {
             max_spin: 5,
             ..SpinLockCosts::default()
         };
-        let _ = SpinLock::with_costs("l", costs);
+        let _ = SpinLock::new().acquire(&costs, true, &mut SimRng::new(5));
     }
 }

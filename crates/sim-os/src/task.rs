@@ -1,5 +1,7 @@
 //! Schedulable tasks.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use sim_core::{CpuId, TaskId};
 
@@ -17,10 +19,14 @@ pub enum TaskState {
 }
 
 /// A schedulable entity — one `ttcp` process in the paper's workload.
+///
+/// The name is a command name, like a process's `comm`: many tasks may
+/// share one (every `ttcp` process is `"ttcp"`), and the id tells them
+/// apart. A static name costs no allocation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Task {
     id: TaskId,
-    name: String,
+    name: Cow<'static, str>,
     /// Affinity mask, as set by `sys_sched_setaffinity`.
     pub affinity: CpuMask,
     /// Current state.
@@ -39,7 +45,7 @@ pub struct Task {
 impl Task {
     /// Creates a blocked task with the given affinity.
     #[must_use]
-    pub fn new(id: TaskId, name: impl Into<String>, affinity: CpuMask) -> Self {
+    pub fn new(id: TaskId, name: impl Into<Cow<'static, str>>, affinity: CpuMask) -> Self {
         Task {
             id,
             name: name.into(),
@@ -58,7 +64,7 @@ impl Task {
         self.id
     }
 
-    /// Task name (e.g. `ttcp3`).
+    /// Task name (e.g. `ttcp`).
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sim_core::{CpuId, SimRng, SimTime, TaskId};
-use sim_os::{CpuMask, Scheduler, SchedulerConfig, SpinLock, TimerWheel};
+use sim_os::{CpuMask, Scheduler, SchedulerConfig, SpinLock, SpinLockCosts, TimerWheel};
 use std::collections::HashSet;
 
 proptest! {
@@ -123,11 +123,12 @@ proptest! {
     /// Spinlock accounting identities for arbitrary contention patterns.
     #[test]
     fn spinlock_accounting(seed: u64, pattern in prop::collection::vec(any::<bool>(), 1..100)) {
-        let mut lock = SpinLock::new("l");
+        let mut lock = SpinLock::new();
+        let costs = SpinLockCosts::default();
         let mut rng = SimRng::new(seed);
         let mut contended_n = 0u64;
         for &contended in &pattern {
-            let a = lock.acquire(contended, &mut rng);
+            let a = lock.acquire(&costs, contended, &mut rng);
             prop_assert!(a.instructions >= 2);
             prop_assert!(a.branches >= 1);
             prop_assert!(a.mispredicts <= a.branches);

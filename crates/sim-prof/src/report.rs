@@ -103,11 +103,12 @@ pub fn symbol_report(
 /// Renders the report's "memory map" section: one row per region in
 /// allocation order — base address, size, and the region's name.
 ///
-/// Names are stored interned ([`sim_mem::RegionName`]) since the bulk
-/// provisioning path landed; this is the report surface that resolves
-/// them, and the rendering is defined to be byte-identical to the eager
-/// `String` names the pre-interning code built (`conn3.tcp_ctx` and
-/// friends). A golden snapshot over a per-flow slab pins that promise.
+/// The table stores names once per run of regions, not per region
+/// ([`sim_mem::RegionTable::name`]); this is the report surface that
+/// resolves them, and the rendering is defined to be byte-identical to
+/// the eager `String` names the pre-interning code built
+/// (`conn3.tcp_ctx` and friends). A golden snapshot over a per-flow slab
+/// pins that promise.
 ///
 /// `limit` truncates the listing (use `usize::MAX` for all); truncation
 /// is reported in the header so a clipped map never reads as complete.
@@ -126,12 +127,12 @@ pub fn region_map_report(regions: &sim_mem::RegionTable, limit: usize) -> String
         "base",
         "bytes",
     );
-    for (_, r) in regions.iter().take(limit) {
+    for (id, r) in regions.iter().take(limit) {
         out.push_str(&format!(
             "{:#012x} {:>10}  {}\n",
             r.base(),
             r.size(),
-            r.raw_name()
+            regions.name(id)
         ));
     }
     out

@@ -86,7 +86,8 @@ pub enum ConnState {
 /// for: socket receive queue, delayed-ACK counter, send-window
 /// accounting, and the rolling slab/DMA cursors that decide which cache
 /// lines each operation touches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct FlowArena {
     /// Current generation of each slot (bumped on reuse).
     generations: Vec<u32>,
@@ -134,30 +135,6 @@ pub(crate) struct FlowArena {
 }
 
 impl FlowArena {
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        FlowArena {
-            generations: Vec::with_capacity(n),
-            ids: Vec::with_capacity(n),
-            regions: Vec::with_capacity(n),
-            rx_queue: Vec::with_capacity(n),
-            rx_queue_bytes: Vec::with_capacity(n),
-            frames_since_ack: Vec::with_capacity(n),
-            tx_inflight: Vec::with_capacity(n),
-            tx_unacked: Vec::with_capacity(n),
-            skb_data_cursor: Vec::with_capacity(n),
-            meta_alloc_cursor: Vec::with_capacity(n),
-            meta_free_cursor: Vec::with_capacity(n),
-            rx_dma_cursor: Vec::with_capacity(n),
-            rx_bytes_delivered: Vec::with_capacity(n),
-            tx_bytes_submitted: Vec::with_capacity(n),
-            congestion: Vec::with_capacity(n),
-            established: Vec::with_capacity(n),
-            states: Vec::with_capacity(n),
-            free_list: Vec::new(),
-            live: 0,
-        }
-    }
-
     /// The six per-flow region `(suffix, size)` requests, in the exact
     /// order [`insert`](Self::insert) has always allocated them — the
     /// bulk slab path replays this same sequence.
@@ -176,7 +153,7 @@ impl FlowArena {
     /// Allocates the connection's memory regions and appends a fresh slot
     /// with empty protocol state.
     ///
-    /// The production path is [`provision_all`](Self::provision_all);
+    /// The production path is [`provision`](Self::provision);
     /// this single-flow form is the reference implementation the
     /// bulk-vs-loop equivalence test compares against.
     #[cfg_attr(not(test), allow(dead_code))]
@@ -205,45 +182,72 @@ impl FlowArena {
         self.push_slot(id, regions, config)
     }
 
-    /// Pre-provisions `conn_dma.len()` connection slots in one pass: the
-    /// per-flow regions are carved out of simulated memory as a single
-    /// contiguous strided slab (six regions per flow, flow-major — the
-    /// exact allocation order an [`insert`](Self::insert) loop produces,
-    /// so region ids, names, and bases are bit-identical), then every
-    /// slot is appended with fresh protocol state. Churn-mode
-    /// `alloc`/`free` recycles these slots and never allocates regions
-    /// at runtime.
-    pub(crate) fn provision_all(
-        &mut self,
+    /// An arena of `conn_dma.len()` live connection slots, provisioned
+    /// in one pass: the per-flow regions are carved out of simulated
+    /// memory as a single contiguous strided slab (six regions per flow,
+    /// flow-major — the exact allocation order an
+    /// [`insert`](Self::insert) loop produces, so region ids, names, and
+    /// bases are bit-identical), and each column is built whole with the
+    /// fresh protocol state [`push_slot`](Self::push_slot) appends slot
+    /// by slot. All-zero columns come from `vec![0; n]`, which may hand
+    /// back untouched zeroed pages. Churn-mode `alloc`/`free` recycles
+    /// these slots and never allocates regions at runtime; the pages of
+    /// slots a run never recycles are never faulted in.
+    pub(crate) fn provision(
         mem: &mut MemorySystem,
         config: &StackConfig,
         conn_dma: &[RegionId],
         max_message: u64,
-    ) {
+    ) -> Self {
         let requests = Self::region_requests(config, max_message);
-        let mut plan = RegionPlan::with_capacity(requests.len() * conn_dma.len());
+        let mut plan = RegionPlan::default();
         for conn in 0..conn_dma.len() as u32 {
             for &(suffix, size) in &requests {
                 plan.add(RegionName::indexed("conn", conn, suffix), size);
             }
         }
         let slab = mem.add_regions_bulk(plan);
-        for (i, &rx_dma_buf) in conn_dma.iter().enumerate() {
-            let stride = requests.len() * i;
-            let regions = ConnectionRegions {
-                tcp_ctx: slab.get(stride),
-                sock: slab.get(stride + 1),
-                skb_meta: slab.get(stride + 2),
-                skb_data: slab.get(stride + 3),
-                tx_app_buf: slab.get(stride + 4),
-                rx_app_buf: slab.get(stride + 5),
-                rx_dma_buf,
-            };
-            self.push_slot(ConnectionId::new(i as u32), regions, config);
+        let n = conn_dma.len();
+        FlowArena {
+            generations: vec![0; n],
+            ids: (0..n as u32).map(ConnectionId::new).collect(),
+            regions: conn_dma
+                .iter()
+                .enumerate()
+                .map(|(i, &rx_dma_buf)| {
+                    let stride = requests.len() * i;
+                    ConnectionRegions {
+                        tcp_ctx: slab.get(stride),
+                        sock: slab.get(stride + 1),
+                        skb_meta: slab.get(stride + 2),
+                        skb_data: slab.get(stride + 3),
+                        tx_app_buf: slab.get(stride + 4),
+                        rx_app_buf: slab.get(stride + 5),
+                        rx_dma_buf,
+                    }
+                })
+                .collect(),
+            rx_queue: vec![VecDeque::new(); n],
+            rx_queue_bytes: vec![0; n],
+            frames_since_ack: vec![0; n],
+            tx_inflight: vec![0; n],
+            tx_unacked: vec![0; n],
+            skb_data_cursor: vec![0; n],
+            meta_alloc_cursor: vec![0; n],
+            meta_free_cursor: vec![0; n],
+            rx_dma_cursor: vec![0; n],
+            rx_bytes_delivered: vec![0; n],
+            tx_bytes_submitted: vec![0; n],
+            congestion: vec![CongestionState::new(config.initial_cwnd, config.max_cwnd); n],
+            established: vec![true; n],
+            states: vec![ConnState::Established; n],
+            free_list: Vec::new(),
+            live: n,
         }
     }
 
     /// Appends one live slot with fresh protocol state.
+    #[cfg_attr(not(test), allow(dead_code))]
     fn push_slot(
         &mut self,
         id: ConnectionId,
@@ -379,7 +383,7 @@ mod tests {
     fn arena_with_one(conn: u32) -> (MemorySystem, FlowArena, FlowId) {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
         let dma = mem.add_region("nic0.rx_buffers", 64 * 1024);
-        let mut arena = FlowArena::with_capacity(1);
+        let mut arena = FlowArena::default();
         let flow = arena.insert(
             ConnectionId::new(conn),
             &mut mem,
@@ -407,11 +411,11 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        assert_eq!(mem.regions().get(r.tcp_ctx).name(), "conn3.tcp_ctx");
+        assert_eq!(mem.regions().name(r.tcp_ctx).render(), "conn3.tcp_ctx");
     }
 
     #[test]
-    fn provision_all_matches_insert_loop() {
+    fn provision_matches_insert_loop() {
         let config = StackConfig::paper();
         let (mut mem_a, mut mem_b) = (
             MemorySystem::new(MemoryConfig::paper_sut(2)),
@@ -423,17 +427,13 @@ mod tests {
         let dma_b: Vec<_> = (0..3)
             .map(|i| mem_b.add_region(format!("nic{i}.rx_buffers"), 64 * 1024))
             .collect();
-        let mut loop_arena = FlowArena::with_capacity(3);
+        let mut loop_arena = FlowArena::default();
         for (i, &dma) in dma_a.iter().enumerate() {
             loop_arena.insert(ConnectionId::new(i as u32), &mut mem_a, &config, dma, 65536);
         }
-        let mut bulk_arena = FlowArena::with_capacity(3);
-        bulk_arena.provision_all(&mut mem_b, &config, &dma_b, 65536);
-        assert_eq!(bulk_arena.len(), loop_arena.len());
-        assert_eq!(bulk_arena.live(), loop_arena.live());
+        let bulk_arena = FlowArena::provision(&mut mem_b, &config, &dma_b, 65536);
+        assert_eq!(bulk_arena, loop_arena);
         for s in 0..3 {
-            assert_eq!(bulk_arena.regions[s], loop_arena.regions[s]);
-            assert_eq!(bulk_arena.ids[s], loop_arena.ids[s]);
             let r = bulk_arena.regions[s];
             for id in [
                 r.tcp_ctx,
@@ -444,12 +444,16 @@ mod tests {
                 r.rx_app_buf,
             ] {
                 assert_eq!(mem_b.regions().get(id), mem_a.regions().get(id));
+                assert_eq!(mem_b.regions().name(id), mem_a.regions().name(id));
             }
         }
         assert_eq!(mem_b.regions().len(), mem_a.regions().len());
         assert_eq!(mem_b.regions().footprint(), mem_a.regions().footprint());
         assert_eq!(
-            mem_b.regions().get(loop_arena.regions[2].skb_data).name(),
+            mem_b
+                .regions()
+                .name(loop_arena.regions[2].skb_data)
+                .render(),
             "conn2.skb_data"
         );
     }
@@ -485,7 +489,7 @@ mod tests {
     fn arena_with_slots(n: u32) -> (MemorySystem, FlowArena) {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
         let dma = mem.add_region("nic0.rx_buffers", 64 * 1024);
-        let mut arena = FlowArena::with_capacity(n as usize);
+        let mut arena = FlowArena::default();
         for i in 0..n {
             arena.insert(
                 ConnectionId::new(i),

@@ -5,7 +5,7 @@ use sim_core::{ConnectionId, IrqVector, Result, SimError, SimRng};
 use sim_cpu::{Core, DataTouch, PerfCounters, WorkItem};
 use sim_mem::{MemorySystem, RegionId};
 use sim_net::wire;
-use sim_os::SpinLock;
+use sim_os::{SpinLock, SpinLockCosts};
 use sim_prof::{FuncId, FunctionRegistry, ProfScratch, Profiler};
 
 use crate::bin::Bin;
@@ -158,7 +158,9 @@ pub struct TcpStack {
     irq_funcs: Vec<Option<FuncId>>,
     lifecycle: LifecycleFnIds,
     flows: FlowArena,
+    /// Each connection's `sk_lock`, all priced by `lock_costs`.
     locks: Vec<SpinLock>,
+    lock_costs: SpinLockCosts,
     listen: Option<ListenSocket>,
 }
 
@@ -264,13 +266,8 @@ impl TcpStack {
         // One bulk slab call for all per-flow regions — bit-identical
         // layout to the old per-flow insert loop, without its O(flows)
         // incremental resizes and format allocations.
-        let mut flows = FlowArena::with_capacity(conn_dma.len());
-        flows.provision_all(mem, &config, conn_dma, max_message);
-        let locks = flows
-            .ids
-            .iter()
-            .map(|id| SpinLock::new(format!("conn{}.sk_lock", id.index())))
-            .collect();
+        let flows = FlowArena::provision(mem, &config, conn_dma, max_message);
+        let locks = vec![SpinLock::new(); flows.len()];
 
         // Lifecycle symbols last — after the per-connection regions, not
         // just after the legacy symbols: appending at the very end keeps
@@ -292,6 +289,7 @@ impl TcpStack {
             lifecycle,
             flows,
             locks,
+            lock_costs: SpinLockCosts::default(),
             listen: None,
         })
     }
@@ -419,7 +417,7 @@ impl TcpStack {
     /// concurrently in this connection's critical sections.
     fn acquire_lock(&mut self, ctx: &mut ExecCtx<'_>, conn: usize, cross_cpu: bool) -> u64 {
         let contended = cross_cpu && ctx.rng.chance(self.config.cross_cpu_contention);
-        let acq = self.locks[conn].acquire(contended, ctx.rng);
+        let acq = self.locks[conn].acquire(&self.lock_costs, contended, ctx.rng);
         // The lock word lives in the socket structure; grabbing it is a
         // write (and the source of coherence ping-pong when contended).
         let sock = self.flows.regions[conn].sock;
