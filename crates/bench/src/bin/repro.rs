@@ -12,84 +12,75 @@
 //! repro poll           # interrupt-vs-poll sweep: IRQ stack vs PMD cores
 //! repro churn          # connection-churn sweep: SYN-to-FIN lifecycle
 //! repro --list         # sweeps, their filter tokens, latest digests
+//! repro scale --list   # the filter spec of every cell of one sweep
 //! repro --quick perf   # smoke variants at tiny message counts (CI)
 //! ```
 //!
-//! `--check` works on every sweep subcommand (`perf`, `scale`, `steer`,
-//! `poll`, `churn`): instead of appending a history row, the fresh wall
-//! time is gated against the newest matching row in
-//! `BENCH_substrate.json`.
+//! Each sweep subcommand is one entry of [`SWEEPS`] — its cell grid, cell
+//! runner, digest fold, printer and BENCH label — and [`run_sweep`]
+//! drives them all, so `--filter`, `--check`, `--quick`, `--list` and the
+//! history append behave alike for every sweep. The scale and churn
+//! sweeps end with a large and a million-flow cell: one-cell entries
+//! that run after every unfiltered run of their sweep.
 //!
-//! `--filter` narrows the sweep subcommands to matching cells — the
-//! spec is `mode/size/dir` for `perf`, `mode/cpus/flows` for `scale`,
-//! `policy/coalesce/cpus` (e.g. `flowdir/adaptive/8`) for `steer`,
-//! `plane/policy/cpus` (e.g. `poll/pmd/8`) for `poll`, and
-//! `plane/policy/cpus/flows` (e.g. `irq/flowdir/8/1000`) for `churn`.
-//! A filter that matches no cells lists the valid tokens on stderr and
-//! exits 2, the same usage-error contract as a misspelled artifact.
-//! `repro --list` prints every sweep with its filter grammar and the
-//! newest recorded history row, so the exit-2 listings are not the only
-//! discovery path.
-//!
-//! The sweep cells run on a deterministic job pool; `REPRO_THREADS`
-//! overrides the worker count (results are identical at any setting).
+//! `--filter` takes one token per position of the sweep's grammar, e.g.
+//! `irq/flowdir/8/1000` for `churn`; a filter that matches no cell lists
+//! the valid tokens and exits 2, like a misspelled artifact. `--check`
+//! gates the fresh wall time against the newest matching BENCH row
+//! instead of appending a row. `REPRO_THREADS` sets the worker count of
+//! the job pool; results are identical at any setting.
 
 use affinity_sim::{
     report, AffinityMode, CoalesceConfig, DataplaneMode, Direction, DynamicSteer, ExperimentConfig,
     FlowPlacement, RunMetrics, RunResult, ServerWorkload, SteerSpec, VectorLayout, PAPER_SIZES,
 };
 use bench::{
-    append_history, cell, figure_row, fnv_fold, latest_entries_by_threads, latest_history_entry,
-    pool_threads, run_cell, run_pool, EXTREME_POINTS,
+    append_history, figure_row, fnv_fold, latest_entries_by_threads, latest_history_entry,
+    pool_threads, run_cell, run_pool, BenchRow, CURRENT_PR, EXTREME_POINTS,
 };
 use sim_cpu::EventCosts;
 
-/// PR number stamped on history entries appended to `BENCH_substrate.json`.
-const CURRENT_PR: u32 = 10;
-
-/// History file the sweep subcommands record into and `--check` reads.
+/// History file the sweeps record into and `--check` reads.
 const HISTORY_PATH: &str = "BENCH_substrate.json";
 
-/// Benchmark-name prefix of the paper-matrix rows in the history file.
-const MATRIX_BENCHMARK: &str = "full figure matrix";
-
-/// Wall-time slack `perf --check` allows over the recorded row before it
-/// declares a regression.
+/// Wall-time slack `--check` allows over the recorded row.
 const CHECK_SLACK: f64 = 1.10;
 
-/// Absolute grace added on top of [`CHECK_SLACK`]: container scheduling
-/// noise is a constant (~0.1-0.2 s), not a percentage, so a sub-second
-/// sweep (`steer`, `poll`) would flake on every gusty run if 10% of its
-/// wall were the whole budget. Negligible against the multi-second
-/// sweeps the gate actually protects.
+/// Absolute grace on top of [`CHECK_SLACK`]: scheduling noise is a
+/// constant (~0.1-0.2 s), not a percentage, so sub-second sweeps would
+/// flake on every gusty run without it.
 const CHECK_NOISE_FLOOR_S: f64 = 0.25;
 
-/// Every artifact name `repro` understands, for validation and `--help`.
-const KNOWN_ARTIFACTS: [&str; 14] = [
-    "fig3", "fig4", "fig5", "table1", "table2", "table3", "table4", "table5", "fourp", "perf",
-    "scale", "steer", "poll", "churn",
+/// Wall seconds of the pre-optimization harness on the 112 matrix cells
+/// (single core), recorded in matrix rows as `baseline_wall_s`.
+const PRE_PR_BASELINE_S: f64 = 13.5;
+
+/// Construction bound for the million-flow cells, in host ns per flow:
+/// a quarter of the ~22,700 ns/flow the incremental (pre-slab) path
+/// measured, ~5x above the slab rate, so a build this slow has fallen
+/// back toward per-region provisioning.
+const MAX_SETUP_NS_PER_FLOW: f64 = 22_700.0 / 4.0;
+
+/// The paper artifacts; a bare `repro` regenerates them all.
+const PAPER_ARTIFACTS: [&str; 9] = [
+    "fig3", "fig4", "fig5", "table1", "table2", "table3", "table4", "table5", "fourp",
 ];
 
 struct Args {
     artifacts: Vec<String>,
     sizes: Vec<u64>,
-    /// `--filter <spec>`: narrow a sweep to matching cells. The spec
-    /// grammar is per-subcommand, so the raw string is kept and parsed
-    /// where it's interpreted.
+    /// `--filter <spec>`: one matrix cell, or a sweep's matching cells.
     filter: Option<String>,
-    /// `--quick`: tiny message counts, no history entry (CI smoke).
+    /// `--quick`: tiny message counts, no history row (CI smoke).
     quick: bool,
-    /// `--check` (with `perf`): gate on the recorded wall time instead
-    /// of appending a new history row.
+    /// `--check`: gate on the recorded wall time instead of appending.
     check: bool,
-    /// `--list`: print the sweeps, their filter grammars and the newest
-    /// recorded history rows, then exit.
+    /// `--list`: print the sweeps (or one sweep's cells) and exit.
     list: bool,
 }
 
-/// Rejects a bad command-line token: prints the offending value and the
-/// full list of accepted ones, then exits with status 2 (usage error)
-/// instead of a panic backtrace.
+/// Rejects a bad command-line token: prints it and the accepted values,
+/// then exits with status 2 (usage error).
 fn usage_error(what: &str, got: &str, valid: &str) -> ! {
     eprintln!("repro: unknown {what} {got:?}");
     eprintln!("  valid {what}s: {valid}");
@@ -99,128 +90,7 @@ fn usage_error(what: &str, got: &str, valid: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Rejects a well-formed `--filter` whose tokens name no cell of the
-/// sweep being run: lists the valid tokens on stderr and exits 2 — the
-/// same usage-error contract for every sweep subcommand.
-fn empty_filter_error(subcommand: &str, spec: &str, valid: &str) -> ! {
-    eprintln!("repro {subcommand}: --filter {spec:?} matches no cells");
-    eprintln!("  valid tokens: {valid}");
-    std::process::exit(2);
-}
-
-/// Construction-throughput sanity bound for the million-flow cells, in
-/// host nanoseconds per provisioned flow. The incremental (pre-slab)
-/// path measured ~22,700 ns/flow building the 16-CPU x 100k-flow churn
-/// machine, and its per-flow cost *grows* with the flow count (each
-/// `add_region` resizes the directory and per-CPU tables), so a slab
-/// build drifting anywhere near this rate has silently fallen back to
-/// per-region provisioning. The default of a quarter of the incremental
-/// rate leaves headroom for slow CI hosts while sitting ~5x above the
-/// measured slab rate (~1,100 ns/flow); the ≥10x acceptance bar itself
-/// is read off the recorded `setup_wall_s` columns, where the hardware
-/// is the same on both sides of the comparison. Override with
-/// `REPRO_MAX_SETUP_NS_PER_FLOW`.
-const MAX_SETUP_NS_PER_FLOW: f64 = 22_700.0 / 4.0;
-
-/// Asserts the million-flow construction bound, then reports the
-/// achieved per-flow rate (visible in CI logs either way).
-fn assert_setup_bound(label: &str, setup_wall_s: f64, flows: usize) {
-    let bound = std::env::var("REPRO_MAX_SETUP_NS_PER_FLOW")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(MAX_SETUP_NS_PER_FLOW);
-    let ns_per_flow = setup_wall_s * 1e9 / flows as f64;
-    assert!(
-        ns_per_flow <= bound,
-        "{label}: construction ran at {ns_per_flow:.0} ns/flow, over the {bound:.0} ns/flow \
-         bound — the slab path has regressed toward incremental provisioning \
-         (override with REPRO_MAX_SETUP_NS_PER_FLOW)"
-    );
-    eprintln!("{label}: construction {ns_per_flow:.0} ns/flow (bound {bound:.0})");
-}
-
-/// Rejects `--check --filter`: the gate compares against rows recorded
-/// for the full sweep, so a filtered subset is never comparable.
-fn check_rejects_filter(subcommand: &str, filter: Option<&str>) {
-    if filter.is_some() {
-        eprintln!("repro {subcommand}: --check times the full sweep; drop --filter");
-        std::process::exit(2);
-    }
-}
-
-/// The wall-time regression gate shared by every sweep subcommand:
-/// compares a fresh run's wall seconds against the newest history row
-/// whose benchmark name starts with `benchmark_prefix` and exits 1 if
-/// the run is more than [`CHECK_SLACK`] over it. Quick runs time a
-/// different workload, so with `quick` the gate only verifies a
-/// comparison row exists (smoke mode) — and matches any worker count,
-/// while full runs only gate against rows recorded at the same count.
-fn check_gate(subcommand: &str, benchmark_prefix: &str, wall: f64, quick: bool, threads: usize) {
-    let row = latest_history_entry(
-        HISTORY_PATH,
-        benchmark_prefix,
-        if quick { None } else { Some(threads) },
-    );
-    let Some(row) = row else {
-        eprintln!(
-            "{subcommand} check FAILED: no \"{benchmark_prefix}\" row{} in {HISTORY_PATH} to compare against",
-            if quick {
-                String::new()
-            } else {
-                format!(" at threads={threads}")
-            }
-        );
-        std::process::exit(1);
-    };
-    if quick {
-        eprintln!(
-            "{subcommand} check: smoke mode — quick counts are not comparable to the recorded \
-             {:.2} s (PR {}); timing gate skipped",
-            row.wall_s, row.pr
-        );
-    } else {
-        warn_parallel_regression(subcommand, benchmark_prefix);
-        let limit = row.wall_s * CHECK_SLACK + CHECK_NOISE_FLOOR_S;
-        if wall > limit {
-            eprintln!(
-                "{subcommand} check FAILED: {wall:.2} s vs recorded {:.2} s (PR {}, threads {}) \
-                 — over the {limit:.2} s limit",
-                row.wall_s, row.pr, row.threads
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "{subcommand} check OK: {wall:.2} s vs recorded {:.2} s (PR {}, limit {limit:.2} s)",
-            row.wall_s, row.pr
-        );
-    }
-}
-
-/// Non-fatal scan over the recorded history: if the newest threads>1
-/// row of this benchmark is slower than its newest threads=1
-/// counterpart (beyond the same slack-plus-noise-floor tolerance the
-/// gate uses, so two rows of the same clamped single-worker run don't
-/// trip it), the parallel runner is a net loss — print it, so the
-/// regression can never land silently again. The gate itself stays
-/// same-thread-count-only; this is a summary, not a failure.
-fn warn_parallel_regression(subcommand: &str, benchmark_prefix: &str) {
-    let rows = latest_entries_by_threads(HISTORY_PATH, benchmark_prefix);
-    let Some(serial) = rows.iter().find(|e| e.threads == 1) else {
-        return;
-    };
-    for row in rows.iter().filter(|e| e.threads > 1) {
-        if row.wall_s > serial.wall_s * CHECK_SLACK + CHECK_NOISE_FLOOR_S {
-            eprintln!(
-                "{subcommand} check WARNING: threads={} row ({:.2} s, PR {}) is slower than \
-                 threads=1 ({:.2} s, PR {}) — the parallel runner is losing",
-                row.threads, row.wall_s, row.pr, serial.wall_s, serial.pr
-            );
-        }
-    }
-}
-
-/// The `--filter` input token for a mode (inverse of [`parse_mode`]),
-/// so empty-match errors list tokens the parser actually accepts.
+/// The `--filter` token of a mode.
 fn mode_token(mode: AffinityMode) -> &'static str {
     match mode {
         AffinityMode::None => "no",
@@ -231,39 +101,38 @@ fn mode_token(mode: AffinityMode) -> &'static str {
     }
 }
 
-fn parse_mode(token: &str) -> AffinityMode {
+/// A filter token as grids spell it: lower case, with the mode aliases
+/// `none` and `process` folded onto `no` and `proc`.
+fn canonical_token(token: &str) -> String {
     match token.to_ascii_lowercase().as_str() {
-        "no" | "none" => AffinityMode::None,
-        "irq" => AffinityMode::Irq,
-        "proc" | "process" => AffinityMode::Process,
-        "full" => AffinityMode::Full,
-        "rss" => AffinityMode::Rss,
-        other => usage_error("filter mode", other, "no, irq, proc, full, rss"),
+        "none" => "no".to_string(),
+        "process" => "proc".to_string(),
+        other => other.to_string(),
     }
 }
 
+/// Parses the single-cell `--filter mode/size/dir`, which takes any size
+/// and mode, not only the matrix's.
 fn parse_filter(spec: &str) -> (AffinityMode, u64, Direction) {
-    let parts: Vec<&str> = spec.split('/').collect();
-    if parts.len() != 3 {
-        usage_error(
-            "filter",
-            spec,
-            "<mode>/<size>/<dir>, e.g. full/4096/tx (mode: no|irq|proc|full|rss; dir: tx|rx)",
-        );
-    }
-    let mode = parse_mode(parts[0]);
-    let size: u64 = parts[1].parse().unwrap_or_else(|_| {
+    let grammar = "<mode>/<size>/<dir>, e.g. full/4096/tx (mode: no|irq|proc|full|rss; dir: tx|rx)";
+    let [mode, size, dir] = spec.split('/').collect::<Vec<_>>()[..] else {
+        usage_error("filter", spec, grammar);
+    };
+    let mut modes = [AffinityMode::Rss].into_iter().chain(AffinityMode::ALL);
+    let mode = modes
+        .find(|&m| mode_token(m) == canonical_token(mode))
+        .unwrap_or_else(|| usage_error("filter mode", mode, "no, irq, proc, full, rss"));
+    let size = size.parse().unwrap_or_else(|_| {
         usage_error(
             "filter size",
-            parts[1],
+            size,
             "a message size in bytes, e.g. 128, 4096, 65536",
         )
     });
-    let direction = match parts[2].to_ascii_lowercase().as_str() {
-        "tx" => Direction::Tx,
-        "rx" => Direction::Rx,
-        other => usage_error("filter direction", other, "tx, rx"),
-    };
+    let direction = Direction::ALL
+        .into_iter()
+        .find(|d| d.label().eq_ignore_ascii_case(dir))
+        .unwrap_or_else(|| usage_error("filter direction", dir, "tx, rx"));
     (mode, size, direction)
 }
 
@@ -278,44 +147,893 @@ fn parse_args() -> Args {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--sizes" {
-            let list = args.next().unwrap_or_default();
-            parsed.sizes = list
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect();
-        } else if arg == "--filter" {
-            parsed.filter = Some(args.next().unwrap_or_default());
-        } else if arg == "--quick" {
-            parsed.quick = true;
-        } else if arg == "--check" {
-            parsed.check = true;
-        } else if arg == "--list" {
-            parsed.list = true;
-        } else {
-            parsed.artifacts.push(arg);
+        match arg.as_str() {
+            "--sizes" => {
+                let list = args.next().unwrap_or_default();
+                parsed.sizes = list
+                    .split(',')
+                    .filter_map(|s| s.trim().parse().ok())
+                    .collect();
+            }
+            "--filter" => parsed.filter = Some(args.next().unwrap_or_default()),
+            "--quick" => parsed.quick = true,
+            "--check" => parsed.check = true,
+            "--list" => parsed.list = true,
+            _ => parsed.artifacts.push(arg),
         }
     }
-    for artifact in &parsed.artifacts {
-        if !KNOWN_ARTIFACTS.contains(&artifact.as_str()) {
-            usage_error("artifact", artifact, &KNOWN_ARTIFACTS.join(", "));
-        }
+    let known: Vec<&str> = PAPER_ARTIFACTS
+        .into_iter()
+        .chain(subcommands().map(|s| s.name))
+        .collect();
+    if let Some(bad) = parsed
+        .artifacts
+        .iter()
+        .find(|a| !known.contains(&a.as_str()))
+    {
+        usage_error("artifact", bad, &known.join(", "));
     }
     if parsed.artifacts.is_empty() {
-        parsed.artifacts = [
-            "fig3", "fig4", "table1", "table2", "fig5", "table3", "table4", "table5", "fourp",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        parsed.artifacts = PAPER_ARTIFACTS.map(String::from).to_vec();
     }
     parsed
+}
+
+/// One simulation cell of a sweep.
+struct Cell {
+    /// The tokens `--filter` matches, one per grammar position.
+    tokens: Vec<String>,
+    /// The cell's variant (`RSS Aff`, `Irq/FlowDir`), or an extra cell's
+    /// headline.
+    name: String,
+    config: ExperimentConfig,
+}
+
+impl Cell {
+    /// A cell whose filter tokens are the `/`-separated parts of `spec`.
+    fn new(spec: &str, name: &str, config: ExperimentConfig) -> Self {
+        let tokens = spec.split('/').filter(|t| !t.is_empty());
+        Cell {
+            tokens: tokens.map(canonical_token).collect(),
+            name: name.to_string(),
+            config,
+        }
+    }
+
+    fn cpus(&self) -> usize {
+        self.config.cpus
+    }
+
+    fn flows(&self) -> usize {
+        self.config.connections
+    }
+}
+
+/// One `repro` sweep, or one extra cell that runs after a sweep.
+struct Sweep {
+    /// Subcommand (`scale`), or an extra cell's name (`scale 1M`).
+    name: &'static str,
+    /// The sweep an extra cell runs after; `None` for a subcommand.
+    after: Option<&'static str>,
+    /// Names of the `--filter` positions; none for an extra cell.
+    grammar: &'static [&'static str],
+    /// `benchmark` of the BENCH rows. The text before `" ("` is the
+    /// label `--check` and `--list` find rows by.
+    benchmark: &'static str,
+    /// `baseline_wall_s` of the rows.
+    baseline_s: Option<f64>,
+    /// The cells in digest order; smoke counts (and grid) when quick.
+    grid: fn(bool) -> Vec<Cell>,
+    run: fn(&Cell) -> RunResult,
+    /// The words one result folds into the digest.
+    digest: fn(&RunResult) -> Vec<u64>,
+    print: fn(&Run),
+}
+
+/// Every sweep and extra cell, in `--list` order.
+#[rustfmt::skip]
+const SWEEPS: [Sweep; 9] = [
+    Sweep { name: "perf", after: None, baseline_s: Some(PRE_PR_BASELINE_S),
+        grammar: &["mode", "size", "dir"],
+        benchmark: "full figure matrix (2 dirs x 7 sizes x 4 modes x 2 seeds)",
+        grid: perf_grid, run: run_plain, digest: cycles, print: print_perf },
+    Sweep { name: "scale", after: None, baseline_s: None,
+        grammar: &["mode", "cpus", "flows"],
+        benchmark: "scale sweep (4 CPU counts x 3 flow counts x 4 modes, Rx 4KB)",
+        grid: scale_grid, run: run_plain, digest: cycles, print: print_scale },
+    Sweep { name: "scale large", after: Some("scale"), baseline_s: None,
+        grammar: &[],
+        benchmark: "scale large cell (16 cpus x 4096 flows, rss, Rx 4KB)",
+        grid: scale_large_grid, run: run_plain, digest: cycles, print: print_scale_cell },
+    Sweep { name: "scale 1M", after: Some("scale"), baseline_s: None,
+        grammar: &[],
+        benchmark: "scale 1M cell (16 cpus x 1000000 flows, rss, Rx 4KB)",
+        grid: scale_million_grid, run: run_bounded, digest: cycles, print: print_scale_cell },
+    Sweep { name: "steer", after: None, baseline_s: None,
+        grammar: &["policy", "coalesce", "cpus"],
+        benchmark: "steering sweep (3 CPU counts x 4 policies, Rx 4KB)",
+        grid: steer_grid, run: run_plain, digest: cycles, print: print_steer },
+    Sweep { name: "poll", after: None, baseline_s: None,
+        grammar: &["plane", "policy", "cpus"],
+        benchmark: "poll sweep (3 CPU counts x 4 dataplanes, Rx 4KB)",
+        grid: poll_grid, run: run_plain, digest: cycles, print: print_poll },
+    Sweep { name: "churn", after: None, baseline_s: None,
+        grammar: &["plane", "policy", "cpus", "flows"],
+        benchmark: "churn sweep (3 CPU counts x 2 flow targets x 4 planes, Tx RPC)",
+        grid: churn_grid, run: run_churn, digest: churn_words, print: print_churn },
+    Sweep { name: "churn large", after: Some("churn"), baseline_s: None,
+        grammar: &[],
+        benchmark: "churn large cell (16 cpus x 100000 flows, flowdir, mice)",
+        grid: churn_large_grid, run: run_churn, digest: churn_words, print: print_churn_cell },
+    Sweep { name: "churn 1M", after: Some("churn"), baseline_s: None,
+        grammar: &[],
+        benchmark: "churn 1M cell (16 cpus x 1000000 flow slots, flowdir, mice)",
+        grid: churn_million_grid, run: run_churn_bounded, digest: churn_words,
+        print: print_churn_cell },
+];
+
+/// The sweeps that are subcommands, not extra cells.
+fn subcommands() -> impl Iterator<Item = &'static Sweep> {
+    SWEEPS.iter().filter(|s| s.after.is_none())
+}
+
+impl Sweep {
+    fn label(&self) -> &'static str {
+        self.benchmark.split(" (").next().unwrap_or(self.benchmark)
+    }
+
+    /// The grammar with the tokens each position takes in `cells`, e.g.
+    /// `<mode>/<cpus>  (mode no|irq; cpus 2|4)`.
+    fn grammar_tokens(&self, cells: &[Cell]) -> String {
+        let (mut names, mut tokens) = (Vec::new(), Vec::new());
+        for (i, name) in self.grammar.iter().enumerate() {
+            let mut seen: Vec<&str> = Vec::new();
+            for token in cells.iter().map(|c| c.tokens[i].as_str()) {
+                if !seen.contains(&token) {
+                    seen.push(token);
+                }
+            }
+            names.push(format!("<{name}>"));
+            tokens.push(format!("{name} {}", seen.join("|")));
+        }
+        format!("{}  ({})", names.join("/"), tokens.join("; "))
+    }
+
+    /// The cells `spec` selects; exits 2, listing the valid tokens, when
+    /// it selects none.
+    fn select(&self, cells: Vec<Cell>, spec: &str) -> Vec<Cell> {
+        let want: Vec<String> = spec.split('/').map(canonical_token).collect();
+        let valid = self.grammar_tokens(&cells);
+        let cells: Vec<Cell> = cells.into_iter().filter(|c| c.tokens == want).collect();
+        if cells.is_empty() {
+            eprintln!("repro {}: --filter {spec:?} matches no cells", self.name);
+            eprintln!("  valid: {valid}");
+            std::process::exit(2);
+        }
+        cells
+    }
+}
+
+/// Runs one sweep the way the flags ask — listed, filtered, quick,
+/// checked or recorded — then the extra cells that follow an unfiltered
+/// run of it.
+fn run_sweep(sweep: &Sweep, args: &Args) {
+    let filter = args.filter.as_deref();
+    if args.check && filter.is_some() {
+        // The gate compares against rows recorded for the full sweep.
+        eprintln!(
+            "repro {}: --check times the full sweep; drop --filter",
+            sweep.name
+        );
+        std::process::exit(2);
+    }
+    let mut cells = (sweep.grid)(args.quick);
+    if let Some(spec) = filter {
+        cells = sweep.select(cells, spec);
+    }
+    if args.list {
+        for cell in &cells {
+            println!("{}", cell.tokens.join("/"));
+        }
+        return;
+    }
+    let (n, threads) = (cells.len(), pool_threads());
+    let quick = if args.quick {
+        " (quick smoke counts)"
+    } else {
+        ""
+    };
+    eprintln!(
+        "{}: {n} cells on {threads} worker(s){quick}...",
+        sweep.label()
+    );
+    let t0 = std::time::Instant::now();
+    let results = run_pool((0..n).collect(), threads, |i| (sweep.run)(&cells[i]));
+    let wall = t0.elapsed().as_secs_f64();
+    let row = BenchRow {
+        pr: CURRENT_PR,
+        benchmark: sweep.benchmark.to_string(),
+        cells: n,
+        threads,
+        baseline_wall_s: sweep.baseline_s,
+        current_wall_s: wall,
+        setup_wall_s: Some(results.iter().map(|r| r.setup_wall_s).sum()),
+        speedup: sweep.baseline_s.map(|b| b / wall),
+        cells_per_sec: n as f64 / wall,
+        digest: Some(fnv_fold(results.iter().flat_map(sweep.digest))),
+    };
+    let filtered = filter.is_some();
+    (sweep.print)(&Run {
+        cells: &cells,
+        results: &results,
+        row: &row,
+        filtered,
+    });
+    if filtered {
+        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
+        return;
+    }
+    if args.check {
+        check_gate(sweep, wall, args.quick, threads);
+    } else if args.quick {
+        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
+    } else {
+        append_history(HISTORY_PATH, &row);
+    }
+    for extra in SWEEPS.iter().filter(|s| s.after == Some(sweep.name)) {
+        run_sweep(extra, args);
+    }
+}
+
+/// The wall-time regression gate: exits 1 if the fresh wall is more than
+/// [`CHECK_SLACK`] (plus the noise floor) over the newest row of the
+/// sweep recorded at the same worker count. Quick runs time a different
+/// workload, so they only verify that a row exists, at any count.
+fn check_gate(sweep: &Sweep, wall: f64, quick: bool, threads: usize) {
+    let (name, label) = (sweep.name, sweep.label());
+    let Some(row) = latest_history_entry(HISTORY_PATH, label, (!quick).then_some(threads)) else {
+        let at = if quick {
+            String::new()
+        } else {
+            format!(" at threads={threads}")
+        };
+        eprintln!(
+            "{name} check FAILED: no \"{label}\" row{at} in {HISTORY_PATH} to compare against"
+        );
+        std::process::exit(1);
+    };
+    let (recorded, pr) = (row.current_wall_s, row.pr);
+    if quick {
+        eprintln!(
+            "{name} check: smoke mode — quick counts are not comparable to the recorded \
+             {recorded:.2} s (PR {pr}); timing gate skipped"
+        );
+        return;
+    }
+    warn_parallel_regression(name, label);
+    let limit = recorded * CHECK_SLACK + CHECK_NOISE_FLOOR_S;
+    if wall > limit {
+        eprintln!(
+            "{name} check FAILED: {wall:.2} s vs recorded {recorded:.2} s (PR {pr}, threads {}) \
+             — over the {limit:.2} s limit",
+            row.threads
+        );
+        std::process::exit(1);
+    }
+    eprintln!(
+        "{name} check OK: {wall:.2} s vs recorded {recorded:.2} s (PR {pr}, limit {limit:.2} s)"
+    );
+}
+
+/// Non-fatal: warns when the newest threads>1 row of the sweep is slower
+/// than its newest threads=1 row beyond the gate's tolerance — the
+/// parallel runner is then a net loss, and that should never land
+/// silently.
+fn warn_parallel_regression(name: &str, label: &str) {
+    let rows = latest_entries_by_threads(HISTORY_PATH, label);
+    let Some(serial) = rows.iter().find(|e| e.threads == 1) else {
+        return;
+    };
+    let slow = |row: &&BenchRow| {
+        row.current_wall_s > serial.current_wall_s * CHECK_SLACK + CHECK_NOISE_FLOOR_S
+    };
+    for row in rows.iter().filter(|e| e.threads > 1).filter(slow) {
+        eprintln!(
+            "{name} check WARNING: threads={} row ({:.2} s, PR {}) is slower than threads=1 \
+             ({:.2} s, PR {}) — the parallel runner is losing",
+            row.threads, row.current_wall_s, row.pr, serial.current_wall_s, serial.pr
+        );
+    }
+}
+
+/// `repro --list`: per sweep, the filter grammar with the tokens its
+/// grid takes (the listing the exit-2 paths print) and the newest
+/// recorded history row.
+fn list_sweeps() {
+    println!("recorded sweeps ({HISTORY_PATH}):");
+    for sweep in &SWEEPS {
+        println!("\n  {}", sweep.name);
+        match sweep.after {
+            Some(parent) => {
+                println!("    no filter grammar — runs after every unfiltered {parent} sweep")
+            }
+            None => println!(
+                "    --filter {}",
+                sweep.grammar_tokens(&(sweep.grid)(false))
+            ),
+        }
+        let Some(row) = latest_history_entry(HISTORY_PATH, sweep.label(), None) else {
+            println!("    latest: no recorded rows");
+            continue;
+        };
+        // Older rows may lack the digest and the setup/run split.
+        let digest = row
+            .digest
+            .map_or("(none recorded)".to_string(), |d| format!("{d:016x}"));
+        let setup = row
+            .setup_wall_s
+            .map_or(String::new(), |s| format!(" (setup {s:.2} s)"));
+        println!(
+            "    latest: PR {}, {:.2} s{setup} at {} worker(s), digest {digest}",
+            row.pr, row.current_wall_s, row.threads
+        );
+    }
+}
+
+fn run_plain(cell: &Cell) -> RunResult {
+    affinity_sim::run_experiment(&cell.config).expect("valid sweep config")
+}
+
+/// Runs a churn cell and asserts the drain invariants every churn run
+/// must satisfy: no live flows and no leaked steering-table entries.
+fn run_churn(cell: &Cell) -> RunResult {
+    let r = run_plain(cell);
+    let lc = r.lifecycle;
+    let at = format!("{} {}cpu {}flows", cell.name, cell.cpus(), cell.flows());
+    assert!(lc.accepts > 0, "{at}: no accepts in window ({lc:?})");
+    assert!(lc.completes > 0, "{at}: no completes in window ({lc:?})");
+    assert_eq!(lc.final_live_flows, 0, "{at}: flows leaked ({lc:?})");
+    assert_eq!(
+        lc.final_table_entries, 0,
+        "{at}: steering table leaked ({lc:?})"
+    );
+    r
+}
+
+fn run_bounded(cell: &Cell) -> RunResult {
+    assert_setup_bound(cell, run_plain(cell))
+}
+
+fn run_churn_bounded(cell: &Cell) -> RunResult {
+    assert_setup_bound(cell, run_churn(cell))
+}
+
+/// Asserts the million-flow construction bound and reports the rate.
+fn assert_setup_bound(cell: &Cell, r: RunResult) -> RunResult {
+    let ns_per_flow = r.setup_wall_s * 1e9 / cell.flows() as f64;
+    let bound = MAX_SETUP_NS_PER_FLOW;
+    assert!(
+        ns_per_flow <= bound,
+        "{}: construction ran at {ns_per_flow:.0} ns/flow, over the {bound:.0} ns/flow bound — \
+         the slab path has regressed toward incremental provisioning",
+        cell.name
+    );
+    eprintln!(
+        "{}: construction {ns_per_flow:.0} ns/flow (bound {bound:.0})",
+        cell.name
+    );
+    r
+}
+
+fn cycles(r: &RunResult) -> Vec<u64> {
+    vec![r.metrics.wall_cycles]
+}
+
+/// Wall cycles *and* the lifecycle counters, so a change that keeps
+/// timing but moves accept/drop accounting still moves the digest.
+fn churn_words(r: &RunResult) -> Vec<u64> {
+    let lc = &r.lifecycle;
+    vec![
+        r.metrics.wall_cycles,
+        lc.accepts,
+        lc.completes,
+        lc.backlog_drops,
+    ]
+}
+
+/// One finished run of a sweep, as its printer sees it.
+struct Run<'a> {
+    cells: &'a [Cell],
+    results: &'a [RunResult],
+    row: &'a BenchRow,
+    /// Whether `--filter` narrowed the grid; a subset may lack the
+    /// variants a cross-cell summary compares, so it gets none.
+    filtered: bool,
+}
+
+impl Run<'_> {
+    fn pairs(&self) -> impl Iterator<Item = (&Cell, &RunResult)> {
+        self.cells.iter().zip(self.results)
+    }
+
+    /// The grid's last cell, at its largest CPU and flow counts.
+    fn top(&self) -> &Cell {
+        self.cells.last().expect("non-empty grid")
+    }
+
+    /// The result of variant `name` at the [`Run::top`] counts.
+    fn at(&self, name: &str) -> &RunResult {
+        let top = self.top();
+        let at_top =
+            |c: &Cell| c.cpus() == top.cpus() && c.flows() == top.flows() && c.name == name;
+        self.pairs()
+            .find(|(c, _)| at_top(c))
+            .expect("variant present")
+            .1
+    }
+
+    /// Prints `title`, the column headers and one row per cell.
+    fn table(&self, title: &str, columns: &[Column]) {
+        let line = |text: &dyn Fn(&Column) -> String| {
+            let cols: Vec<String> = columns
+                .iter()
+                .map(|c| format!("{:>1$}", text(c), c.1))
+                .collect();
+            println!("{}", cols.join(" "));
+        };
+        println!("{title}");
+        line(&|c| c.0.to_string());
+        for (cell, r) in self.pairs() {
+            line(&|c| (c.2)(cell, r));
+        }
+    }
+
+    /// Prints an extra cell's line: its headline, `text`, its timing.
+    fn cell_line(&self, text: &str) {
+        let (name, setup) = (&self.cells[0].name, self.results[0].setup_wall_s);
+        let (wall, digest) = (self.row.current_wall_s, self.digest());
+        println!("{name}: {text} in {wall:.2} s (setup {setup:.2} s), digest {digest:016x}");
+    }
+
+    fn digest(&self) -> u64 {
+        self.row.digest.expect("fresh rows carry their digest")
+    }
+
+    fn footer(&self) {
+        let (row, digest) = (self.row, self.digest());
+        let (wall, rate) = (row.current_wall_s, row.cells_per_sec);
+        println!(
+            "{} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
+            row.cells
+        );
+    }
+}
+
+/// A table column: header, width, and a cell's value (right-aligned).
+type Column = (&'static str, usize, fn(&Cell, &RunResult) -> String);
+
+const CPUS: Column = ("cpus", 5, |c, _| c.cpus().to_string());
+const BAR: Column = ("|", 1, |_, _| "|".to_string());
+const BW: Column = ("BW (Mb/s)", 9, |_, r| mbps(r));
+const COST: Column = ("GHz/Gbps", 9, |_, r| cost(r));
+
+fn mbps(r: &RunResult) -> String {
+    format!("{:.0}", r.metrics.throughput_mbps())
+}
+
+fn cost(r: &RunResult) -> String {
+    format!("{:.2}", r.metrics.cost_ghz_per_gbps())
+}
+
+/// Completed connections per simulated second, in thousands.
+fn kconn_s(r: &RunResult) -> f64 {
+    let seconds = r.metrics.wall_cycles as f64 / r.metrics.freq.hertz() as f64;
+    r.lifecycle.completes as f64 / seconds / 1e3
+}
+
+/// The benchmark matrix: both directions, every paper size, all four
+/// modes, two seeds — 112 cells. Its stdout is the BENCH row.
+fn perf_grid(quick: bool) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for dir in Direction::ALL {
+        for size in PAPER_SIZES {
+            for mode in AffinityMode::ALL {
+                for seed in [0x5EED, 42] {
+                    let mut config = bench::cell(dir, size, mode, seed);
+                    if quick {
+                        config.workload = config.workload.quick();
+                    }
+                    let spec = format!("{}/{size}/{}", mode_token(mode), dir.label());
+                    cells.push(Cell::new(&spec, mode.label(), config));
+                }
+            }
+        }
+    }
+    cells
+}
+
+fn print_perf(run: &Run) {
+    if run.filtered {
+        run.footer();
+    } else {
+        println!("{}", run.row);
+    }
+}
+
+/// The scale sweep's modes: the Figure 3 knobs plus RSS hash steering.
+const SCALE_MODES: [AffinityMode; 4] = [
+    AffinityMode::None,
+    AffinityMode::Irq,
+    AffinityMode::Full,
+    AffinityMode::Rss,
+];
+
+/// CPU counts x flow counts x modes, Rx 4 KB. With flows hash-steered to
+/// per-CPU vectors (RSS), adding CPUs should add bandwidth — the future
+/// the paper's conclusion sketches.
+fn scale_grid(quick: bool) -> Vec<Cell> {
+    let (cpu_grid, flow_grid): (&[usize], &[usize]) = if quick {
+        (&[2, 4], &[8, 16])
+    } else {
+        (&[2, 4, 8, 16], &[8, 64, 256])
+    };
+    let mut cells = Vec::new();
+    for &cpus in cpu_grid {
+        for &flows in flow_grid {
+            for mode in SCALE_MODES {
+                let mut config = ExperimentConfig::scale(Direction::Rx, cpus, flows, mode);
+                if quick {
+                    config.workload.warmup_messages = 2;
+                    config.workload.measure_messages = 3;
+                }
+                let spec = format!("{}/{cpus}/{flows}", mode_token(mode));
+                cells.push(Cell::new(&spec, mode.label(), config));
+            }
+        }
+    }
+    cells
+}
+
+fn print_scale(run: &Run) {
+    if run.filtered {
+        for (c, r) in run.pairs() {
+            println!(
+                "{} cpus, {} flows, {}: {} Mb/s, {} GHz/Gbps, {} cycles",
+                c.cpus(),
+                c.flows(),
+                c.name,
+                mbps(r),
+                cost(r),
+                r.metrics.wall_cycles
+            );
+        }
+        return run.footer();
+    }
+    println!("scaling sweep (Rx, 4KB messages, one NIC queue per CPU)");
+    let [a, b, c, d] = SCALE_MODES.map(AffinityMode::label);
+    let header = format!("{:>5} {:>6} | {a:>9} {b:>9} {c:>9} {d:>9}", "cpus", "flows");
+    let table = |unit: &str, value: fn(&RunResult) -> String| {
+        println!("{header}  ({unit})");
+        for (cells, results) in run.cells.chunks(4).zip(run.results.chunks(4)) {
+            let cols: Vec<String> = results.iter().map(|r| format!("{:>9}", value(r))).collect();
+            println!(
+                "{:>5} {:>6} | {}",
+                cells[0].cpus(),
+                cells[0].flows(),
+                cols.join(" ")
+            );
+        }
+    };
+    table("Mb/s", mbps);
+    println!("\nprocessing cost shape");
+    table("GHz/Gbps", cost);
+    let max_flows = run.top().flows();
+    let rss: Vec<String> = run
+        .pairs()
+        .filter(|(c, _)| c.flows() == max_flows && c.name == AffinityMode::Rss.label())
+        .map(|(c, r)| format!("{} cpus -> {} Mb/s", c.cpus(), mbps(r)))
+        .collect();
+    println!("RSS scaling at {max_flows} flows: {}", rss.join(", "));
+    run.footer();
+}
+
+/// 16 CPUs x 4096 flows under RSS: whether per-flow state and the
+/// coherence directory hold their rate as the footprint grows past the
+/// grid's 256-flow ceiling. Per-flow counts sit below the grid's.
+fn scale_large_grid(quick: bool) -> Vec<Cell> {
+    let mut config = ExperimentConfig::scale(Direction::Rx, 16, 4096, AffinityMode::Rss);
+    let (warmup, measure) = if quick { (1, 1) } else { (2, 4) };
+    config.workload.warmup_messages = warmup;
+    config.workload.measure_messages = measure;
+    let name = "large cell (16 cpus x 4096 flows, rss)";
+    vec![Cell::new("", name, config)]
+}
+
+/// 1M provisioned flows under RSS with *aggregate* message targets: the
+/// subject is provisioning and footprint, so the peers stream on a
+/// bounded working set of 256 flows per CPU (all million streaming at
+/// once is receive livelock by construction). Quick mode keeps the full
+/// million flows — construction is the point — on fewer CPUs.
+fn scale_million_grid(quick: bool) -> Vec<Cell> {
+    let (cpus, flows) = (if quick { 4 } else { 16 }, 1_000_000);
+    let (warmup, measure) = if quick { (256, 1024) } else { (4_096, 16_384) };
+    let mut config = ExperimentConfig::scale(Direction::Rx, cpus, flows, AffinityMode::Rss);
+    config.workload.aggregate_targets = true;
+    config.workload.active_conns = 256 * cpus;
+    config.workload.warmup_messages = warmup;
+    config.workload.measure_messages = measure;
+    let name = format!("1M cell ({cpus} cpus x {flows} flows, rss)");
+    vec![Cell::new("", &name, config)]
+}
+
+fn print_scale_cell(run: &Run) {
+    let r = &run.results[0];
+    run.cell_line(&format!("{} Mb/s, {} GHz/Gbps", mbps(r), cost(r)));
+}
+
+/// Static RSS hashing with the queue vectors split evenly over CPUs.
+const RSS: SteerSpec = SteerSpec {
+    placement: FlowPlacement::RssHash,
+    vectors: VectorLayout::SplitEven,
+    dynamic: DynamicSteer::Off,
+    pin_processes: false,
+};
+
+/// CPU counts x `variants` on the multi-queue SUT (one 4-queue NIC port
+/// per four CPUs, 4 flows per CPU, Rx 4KB). A variant is a name, its
+/// interrupt steering (`None`: the poll-mode dataplane) and its
+/// interrupt-moderation override.
+fn geometry_grid(
+    quick: bool,
+    variants: &[(&str, Option<SteerSpec>, Option<CoalesceConfig>)],
+) -> Vec<Cell> {
+    let cpu_grid: &[usize] = if quick { &[4] } else { &[4, 8, 16] };
+    let mut cells = Vec::new();
+    for &cpus in cpu_grid {
+        for &(name, spec, coalesce) in variants {
+            let mut config = match spec {
+                Some(spec) => ExperimentConfig::steer_sweep(Direction::Rx, cpus, 4 * cpus, spec),
+                None => ExperimentConfig::poll_sweep(Direction::Rx, cpus, 4 * cpus),
+            };
+            if let Some(coalesce) = coalesce {
+                config.nic.coalesce = coalesce;
+            }
+            if !quick {
+                config.workload.warmup_messages = 8;
+                config.workload.measure_messages = 24;
+            }
+            let spec = format!("{name}/{cpus}");
+            cells.push(Cell::new(&spec, name, config));
+        }
+    }
+    cells
+}
+
+/// Static RSS vs Flow Director re-targeting, each under fixed and
+/// adaptive interrupt moderation. Flow Director chases the consumer, so
+/// some flows complete on a different CPU than their previous batch —
+/// the reordering signature the steering counters show.
+fn steer_grid(quick: bool) -> Vec<Cell> {
+    let adaptive = Some(CoalesceConfig::AdaptiveTimeout {
+        min_events: 1,
+        max_events: 8,
+        idle_gap_cycles: 8_000,
+        timeout_cycles: 12_000,
+    });
+    let flowdir = Some(SteerSpec::flow_director());
+    let variants = [
+        ("RSS/fixed", Some(RSS), None),
+        ("RSS/adaptive", Some(RSS), adaptive),
+        ("FlowDir/fixed", flowdir, None),
+        ("FlowDir/adaptive", flowdir, adaptive),
+    ];
+    geometry_grid(quick, &variants)
+}
+
+fn print_steer(run: &Run) {
+    let title = "steering sweep (Rx, 4KB messages, 4 flows/CPU, 4-queue NIC per 4 CPUs)";
+    let columns: [Column; 9] = [
+        CPUS,
+        ("policy", 17, |c, _| c.name.clone()),
+        BAR,
+        BW,
+        COST,
+        ("clears/msg", 11, |_, r| {
+            let clears = r.metrics.total.machine_clears as f64;
+            format!("{:.1}", clears / r.metrics.messages.max(1) as f64)
+        }),
+        ("resteers", 9, |_, r| r.steer.resteers.to_string()),
+        ("rejects", 8, |_, r| r.steer.table_rejects.to_string()),
+        ("ooo", 8, |_, r| r.steer.ooo_completions.to_string()),
+    ];
+    run.table(title, &columns);
+    if !run.filtered {
+        let flowdir = run.at("FlowDir/fixed").metrics.throughput_mbps();
+        let rss = run.at("RSS/fixed").metrics.throughput_mbps();
+        let (cpus, gain) = (run.top().cpus(), 100.0 * (flowdir / rss - 1.0));
+        println!("\nat {cpus} cpus: FlowDir {flowdir:.0} Mb/s vs RSS {rss:.0} Mb/s ({gain:+.1}%)");
+    }
+    run.footer();
+}
+
+/// The interrupt-driven stack under three steering policies against the
+/// kernel-bypass poll-mode dataplane. Poll mode takes zero interrupts;
+/// its price is PMD cores spinning whether or not frames arrive, charged
+/// as busy time, so GHz/Gbps prices the burned cores honestly.
+fn poll_grid(quick: bool) -> Vec<Cell> {
+    let irq_cpu0 = SteerSpec {
+        placement: FlowPlacement::RoundRobin,
+        vectors: VectorLayout::AllCpu0,
+        ..RSS
+    };
+    let variants = [
+        ("Irq/cpu0", Some(irq_cpu0), None),
+        ("Irq/RSS", Some(RSS), None),
+        ("Irq/FlowDir", Some(SteerSpec::flow_director()), None),
+        ("Poll/pmd", None, None),
+    ];
+    geometry_grid(quick, &variants)
+}
+
+fn print_poll(run: &Run) {
+    let title = "interrupt-vs-poll sweep (Rx, 4KB messages, 4 flows/CPU, 4-queue NIC per 4 CPUs)";
+    let columns: [Column; 9] = [
+        CPUS,
+        ("dataplane", 12, |c, _| c.name.clone()),
+        BAR,
+        BW,
+        COST,
+        ("irqs", 6, |_, r| r.metrics.interrupts.to_string()),
+        ("spin%", 6, |_, r| {
+            format!("{:.1}", 100.0 * r.poll.spin_fraction())
+        }),
+        ("polls", 8, |_, r| r.poll.polls.to_string()),
+        ("empty polls", 12, |_, r| r.poll.empty_polls.to_string()),
+    ];
+    run.table(title, &columns);
+    if !run.filtered {
+        let (poll, rss) = (&run.at("Poll/pmd").metrics, &run.at("Irq/RSS").metrics);
+        let (poll_bw, rss_bw) = (poll.throughput_mbps(), rss.throughput_mbps());
+        println!(
+            "\nat {} cpus: Poll {poll_bw:.0} Mb/s vs Irq/RSS {rss_bw:.0} Mb/s ({:+.1}%), at {:.2} \
+             vs {:.2} GHz/Gbps — poll's spin cycles are priced as busy cores",
+            run.top().cpus(),
+            100.0 * (poll_bw / rss_bw - 1.0),
+            poll.cost_ghz_per_gbps(),
+            rss.cost_ghz_per_gbps(),
+        );
+    }
+    run.footer();
+}
+
+/// Flow Director with server processes pinned to their flows'
+/// even-spread homes: without the pin the server runs where the softirq
+/// delivered, and static RSS and Flow Director collapse into one policy.
+fn pinned_flow_director() -> SteerSpec {
+    SteerSpec {
+        pin_processes: true,
+        ..SteerSpec::flow_director()
+    }
+}
+
+/// Short-lived SYN-to-FIN request/response connections on both
+/// dataplanes under RSS and Flow Director, across CPU counts and
+/// concurrent-flow targets. Quick slot counts sit below the quick
+/// measurement window (24 completions), so slots recycle inside it and
+/// the nonzero-accepts invariant stays checkable.
+fn churn_grid(quick: bool) -> Vec<Cell> {
+    let rss = SteerSpec {
+        pin_processes: true,
+        ..RSS
+    };
+    let flowdir = pinned_flow_director();
+    let variants = [
+        ("Irq/RSS", DataplaneMode::Interrupt, rss),
+        ("Irq/FlowDir", DataplaneMode::Interrupt, flowdir),
+        ("Poll/RSS", DataplaneMode::Poll, rss),
+        ("Poll/FlowDir", DataplaneMode::Poll, flowdir),
+    ];
+    let (cpu_grid, flow_grid): (&[usize], &[usize]) = if quick {
+        (&[4], &[12])
+    } else {
+        (&[4, 8, 16], &[1_000, 10_000])
+    };
+    let mut cells = Vec::new();
+    for &cpus in cpu_grid {
+        for &flows in flow_grid {
+            for (name, plane, spec) in variants {
+                let mut config = ExperimentConfig::churn(cpus, flows, spec, plane);
+                if quick {
+                    config = config.quick();
+                }
+                let spec = format!("{name}/{cpus}/{flows}");
+                cells.push(Cell::new(&spec, name, config));
+            }
+        }
+    }
+    cells
+}
+
+fn print_churn(run: &Run) {
+    let title = "connection-churn sweep (Tx RPC, SYN-to-FIN lifecycle, mice + 1-in-10 elephants)";
+    let columns: [Column; 10] = [
+        CPUS,
+        ("flows", 6, |c, _| c.flows().to_string()),
+        ("plane", 12, |c, _| c.name.clone()),
+        BAR,
+        ("kconn/s", 8, |_, r| format!("{:.1}", kconn_s(r))),
+        COST,
+        ("accepts", 8, |_, r| r.lifecycle.accepts.to_string()),
+        ("drops", 7, |_, r| r.lifecycle.backlog_drops.to_string()),
+        ("fct p50", 9, |_, r| r.lifecycle.fct_p50_cycles.to_string()),
+        ("fct p99", 9, |_, r| r.lifecycle.fct_p99_cycles.to_string()),
+    ];
+    run.table(title, &columns);
+    if !run.filtered {
+        let (flowdir, rss) = (kconn_s(run.at("Irq/FlowDir")), kconn_s(run.at("Irq/RSS")));
+        let (top, gain) = (run.top(), 100.0 * (flowdir / rss - 1.0));
+        println!(
+            "\nat {} cpus, {} flows: FlowDir {flowdir:.1} kconn/s vs RSS {rss:.1} kconn/s \
+             ({gain:+.1}%) on the interrupt plane",
+            top.cpus(),
+            top.flows()
+        );
+    }
+    run.footer();
+}
+
+/// 16 CPUs x 100k concurrent-flow slots, interrupt plane under Flow
+/// Director, mice only: per-connection cost at 10x the grid's flow
+/// population, where arena recycling and table install/teardown hold
+/// their rate or visibly don't.
+fn churn_large_grid(quick: bool) -> Vec<Cell> {
+    let (cpus, flows) = if quick { (8, 16) } else { (16, 100_000) };
+    let plane = DataplaneMode::Interrupt;
+    let mut config = ExperimentConfig::churn(cpus, flows, pinned_flow_director(), plane);
+    config.server = config.server.map(ServerWorkload::mice_only);
+    if quick {
+        config = config.quick();
+    }
+    let name = format!("large cell ({cpus} cpus x {flows} flows, flowdir, mice)");
+    vec![Cell::new("", &name, config)]
+}
+
+/// A 1M-slot arena under Flow Director, mice only: slab provisioning,
+/// per-flow region layout and the steering table at 1M entries. The
+/// connection budget is a modest absolute count, and arrivals come 100k
+/// cycles apart: at 1M slots every arrival is open-loop, and the default
+/// 2k-cycle gap lands every accept before the measurement window opens.
+fn churn_million_grid(quick: bool) -> Vec<Cell> {
+    let (cpus, flows) = (if quick { 4 } else { 16 }, 1_000_000);
+    let plane = DataplaneMode::Interrupt;
+    let mut config = ExperimentConfig::churn(cpus, flows, pinned_flow_director(), plane);
+    config.server = config.server.map(|s| ServerWorkload {
+        warmup_conns: if quick { 64 } else { 4_000 },
+        measure_conns: if quick { 256 } else { 12_000 },
+        arrival_gap_cycles: 100_000,
+        ..s.mice_only()
+    });
+    let name = format!("1M cell ({cpus} cpus x {flows} flow slots, flowdir, mice)");
+    vec![Cell::new("", &name, config)]
+}
+
+fn print_churn_cell(run: &Run) {
+    let (r, lc) = (&run.results[0], &run.results[0].lifecycle);
+    run.cell_line(&format!(
+        "{:.1} kconn/s, {} GHz/Gbps, {} accepts, {} drops, fct p50/p99 {}/{} cycles",
+        kconn_s(r),
+        cost(r),
+        lc.accepts,
+        lc.backlog_drops,
+        lc.fct_p50_cycles,
+        lc.fct_p99_cycles
+    ));
 }
 
 /// Runs the single matrix cell named by `--filter` and prints its
 /// headline metrics — the quickest way to reproduce one data point.
 fn run_filtered(mode: AffinityMode, size: u64, direction: Direction, quick: bool) {
-    let mut config = cell(direction, size, mode, 0x5EED);
+    let mut config = bench::cell(direction, size, mode, 0x5EED);
     if quick {
         config.workload = config.workload.quick();
     }
@@ -374,1160 +1092,23 @@ fn extreme_runs() -> Vec<(String, RunResult, RunResult)> {
         .collect()
 }
 
-/// Wall seconds of the pre-optimization harness running the same 112
-/// benchmark cells on this container (median of interleaved runs of the
-/// seed-revision binary, single core). Override with `REPRO_BASELINE_S`
-/// when benchmarking on different hardware.
-const PRE_PR_BASELINE_S: f64 = 13.5;
-
-/// Times the benchmark matrix — both directions, every paper size, all
-/// four modes, two seeds (112 cells, the same matrix the pre-PR harness
-/// ran for `fig3 fig4`) — and appends a history entry to
-/// `BENCH_substrate.json`. With `--quick` the cells run at tiny message
-/// counts as a CI smoke check and nothing is recorded. With `--check`
-/// nothing is recorded either: the fresh wall time is compared against
-/// the latest matching history row instead, and the process exits 1 if
-/// it is more than 10% slower — the perf scoreboard as a gate.
-fn perf(quick: bool, check: bool, filter: Option<&str>) {
-    const SEEDS: [u64; 2] = [0x5EED, 42];
-    if check {
-        check_rejects_filter("perf", filter);
-    }
-    let mut jobs: Vec<(Direction, u64, AffinityMode, u64)> = Vec::new();
-    for dir in [Direction::Tx, Direction::Rx] {
-        for &size in &PAPER_SIZES {
-            for mode in AffinityMode::ALL {
-                for seed in SEEDS {
-                    jobs.push((dir, size, mode, seed));
-                }
-            }
-        }
-    }
-    if let Some(spec) = filter {
-        let (mode, size, dir) = parse_filter(spec);
-        jobs.retain(|&(d, s, m, _)| d == dir && s == size && m == mode);
-        if jobs.is_empty() {
-            let sizes: Vec<String> = PAPER_SIZES.iter().map(u64::to_string).collect();
-            let modes: Vec<&str> = AffinityMode::ALL.iter().map(|&m| mode_token(m)).collect();
-            empty_filter_error(
-                "perf",
-                spec,
-                &format!(
-                    "mode {}; size {}; dir tx, rx",
-                    modes.join(", "),
-                    sizes.join(", ")
-                ),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "timing {cells} cells on {threads} worker(s){}...",
-        if quick { " (quick smoke counts)" } else { "" }
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs, threads, |(dir, size, mode, seed)| {
-        let r = if quick {
-            let mut config = cell(dir, size, mode, seed);
-            config.workload = config.workload.quick();
-            affinity_sim::run_experiment(&config).expect("valid experiment config")
-        } else {
-            run_cell(dir, size, mode, seed)
-        };
-        (r.metrics.wall_cycles, r.setup_wall_s)
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(_, s)| s).sum();
-    let digest = fnv_fold(results.iter().map(|&(cycles, _)| cycles));
-    if filter.is_some() {
-        println!(
-            "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-            rate = cells as f64 / wall,
-        );
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
-        return;
-    }
-    let baseline = std::env::var("REPRO_BASELINE_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(PRE_PR_BASELINE_S);
-    let json = format!(
-        "  {{\n    \"pr\": {CURRENT_PR},\n    \
-         \"benchmark\": \"{MATRIX_BENCHMARK} (2 dirs x {n_sizes} sizes x 4 modes x 2 seeds)\",\n    \
-         \"cells\": {cells},\n    \"threads\": {threads},\n    \
-         \"baseline_wall_s\": {baseline:.2},\n    \"current_wall_s\": {wall:.2},\n    \
-         \"setup_wall_s\": {setup:.2},\n    \
-         \"speedup\": {speedup:.2},\n    \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-        n_sizes = PAPER_SIZES.len(),
-        speedup = baseline / wall,
-        rate = cells as f64 / wall,
-    );
-    if check {
-        println!("{json}");
-        check_gate("perf", MATRIX_BENCHMARK, wall, quick, threads);
-        return;
-    }
-    if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        append_history(HISTORY_PATH, &json);
-    }
-    println!("{json}");
-}
-
-/// The scaling sweep: CPU counts x flow counts x affinity modes (the
-/// Figure 3 interrupt/process knobs plus RSS hash steering), receive
-/// side, 4 KB messages. Reports per-cell throughput so the scaling shape
-/// is visible — with flows hash-steered to per-CPU vectors (RSS), adding
-/// CPUs should add bandwidth, which is exactly the future the paper's
-/// conclusion sketches. Deterministic: the digest is independent of
-/// `REPRO_THREADS`.
-fn scale(quick: bool, check: bool, filter: Option<&str>) {
-    if check {
-        check_rejects_filter("scale", filter);
-    }
-    const MODES: [AffinityMode; 4] = [
-        AffinityMode::None,
-        AffinityMode::Irq,
-        AffinityMode::Full,
-        AffinityMode::Rss,
-    ];
-    let (cpu_grid, flow_grid): (Vec<usize>, Vec<usize>) = if quick {
-        (vec![2, 4], vec![8, 16])
-    } else {
-        (vec![2, 4, 8, 16], vec![8, 64, 256])
-    };
-    let mut jobs: Vec<(usize, usize, AffinityMode)> = Vec::new();
-    for &cpus in &cpu_grid {
-        for &flows in &flow_grid {
-            for mode in MODES {
-                jobs.push((cpus, flows, mode));
-            }
-        }
-    }
-    if let Some(spec) = filter {
-        let parts: Vec<&str> = spec.split('/').collect();
-        if parts.len() != 3 {
-            usage_error(
-                "filter",
-                spec,
-                "<mode>/<cpus>/<flows> for scale, e.g. rss/8/64",
-            );
-        }
-        let mode = parse_mode(parts[0]);
-        let cpus_want: usize = parts[1].parse().unwrap_or_else(|_| {
-            usage_error("filter cpus", parts[1], "a CPU count, e.g. 2, 4, 8, 16")
-        });
-        let flows_want: usize = parts[2].parse().unwrap_or_else(|_| {
-            usage_error("filter flows", parts[2], "a flow count, e.g. 8, 64, 256")
-        });
-        jobs.retain(|&(c, f, m)| c == cpus_want && f == flows_want && m == mode);
-        if jobs.is_empty() {
-            let cpus: Vec<String> = cpu_grid.iter().map(usize::to_string).collect();
-            let flows: Vec<String> = flow_grid.iter().map(usize::to_string).collect();
-            let modes: Vec<&str> = MODES.iter().map(|&m| mode_token(m)).collect();
-            empty_filter_error(
-                "scale",
-                spec,
-                &format!(
-                    "mode {}; cpus {}; flows {}",
-                    modes.join(", "),
-                    cpus.join(", "),
-                    flows.join(", ")
-                ),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "scale sweep: {cells} cells ({} CPU counts x {} flow counts x 4 modes, Rx 4KB) on {threads} worker(s)...",
-        cpu_grid.len(),
-        flow_grid.len(),
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs.clone(), threads, move |(cpus, flows, mode)| {
-        let mut config = ExperimentConfig::scale(Direction::Rx, cpus, flows, mode);
-        if quick {
-            config.workload.warmup_messages = 2;
-            config.workload.measure_messages = 3;
-        }
-        let r = affinity_sim::run_experiment(&config).expect("valid scale config");
-        (
-            r.metrics.wall_cycles,
-            r.metrics.throughput_mbps(),
-            r.metrics.cost_ghz_per_gbps(),
-            r.setup_wall_s,
-        )
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(.., s)| s).sum();
-    let digest = fnv_fold(results.iter().map(|&(cycles, ..)| cycles));
-
-    if filter.is_some() {
-        for (&(cpus, flows, mode), &(cycles, mbps, cost, _)) in jobs.iter().zip(&results) {
-            println!(
-                "{cpus} cpus, {flows} flows, {}: {mbps:.0} Mb/s, {cost:.2} GHz/Gbps, {cycles} cycles",
-                mode.label(),
-            );
-        }
-        println!(
-            "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-            rate = cells as f64 / wall,
-        );
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
-        return;
-    }
-
-    println!("scaling sweep (Rx, 4KB messages, one NIC queue per CPU)");
-    let header = format!(
-        "{:>5} {:>6} | {:>9} {:>9} {:>9} {:>9}",
-        "cpus",
-        "flows",
-        MODES[0].label(),
-        MODES[1].label(),
-        MODES[2].label(),
-        MODES[3].label(),
-    );
-    println!("{header}  (Mb/s)");
-    for (row, chunk) in results.chunks(MODES.len()).enumerate() {
-        let (cpus, flows, _) = jobs[row * MODES.len()];
-        let cols: Vec<String> = chunk
-            .iter()
-            .map(|&(_, mbps, ..)| format!("{mbps:>9.0}"))
-            .collect();
-        println!("{cpus:>5} {flows:>6} | {}", cols.join(" "));
-    }
-    println!("\nprocessing cost shape");
-    println!("{header}  (GHz/Gbps)");
-    for (row, chunk) in results.chunks(MODES.len()).enumerate() {
-        let (cpus, flows, _) = jobs[row * MODES.len()];
-        let cols: Vec<String> = chunk
-            .iter()
-            .map(|&(_, _, cost, _)| format!("{cost:>9.2}"))
-            .collect();
-        println!("{cpus:>5} {flows:>6} | {}", cols.join(" "));
-    }
-    let max_flows = *flow_grid.last().expect("non-empty flow grid");
-    let rss_line: Vec<String> = jobs
-        .iter()
-        .zip(&results)
-        .filter(|((_, flows, mode), _)| *flows == max_flows && *mode == AffinityMode::Rss)
-        .map(|((cpus, _, _), (_, mbps, ..))| format!("{cpus} cpus -> {mbps:.0} Mb/s"))
-        .collect();
-    println!("RSS scaling at {max_flows} flows: {}", rss_line.join(", "));
-    println!(
-        "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-        rate = cells as f64 / wall,
-    );
-
-    if check {
-        check_gate("scale", "scale sweep", wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"scale sweep (4 CPU counts x 3 flow counts x 4 modes, Rx 4KB)\",\n    \
-             \"cells\": {cells},\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {wall:.2},\n    \
-             \"setup_wall_s\": {setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-            rate = cells as f64 / wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-
-    // One arena-scale cell on top of the grid: 16 CPUs x 4096 flows under
-    // RSS, the flow count Open item 3's server workloads start at. Its own
-    // digest and history row track whether per-flow state (arena-SoA) and
-    // the coherence directory hold their cells/sec as footprint grows —
-    // the grid's 256-flow ceiling can't see that cliff.
-    let t1 = std::time::Instant::now();
-    let mut config = ExperimentConfig::scale(Direction::Rx, 16, 4096, AffinityMode::Rss);
-    // Per-flow counts trimmed below the grid's: at 4096 flows even 2+4
-    // messages per flow is ~25k messages, plenty for a steady rate and
-    // ~5 s of wall — the cell is about footprint, not per-flow depth.
-    if quick {
-        config.workload.warmup_messages = 1;
-        config.workload.measure_messages = 1;
-    } else {
-        config.workload.warmup_messages = 2;
-        config.workload.measure_messages = 4;
-    }
-    let r = affinity_sim::run_experiment(&config).expect("valid large scale config");
-    let large_wall = t1.elapsed().as_secs_f64();
-    let large_setup = r.setup_wall_s;
-    let large_digest = fnv_fold([r.metrics.wall_cycles]);
-    println!(
-        "large cell (16 cpus x 4096 flows, rss): {mbps:.0} Mb/s, {cost:.2} GHz/Gbps in \
-         {large_wall:.2} s (setup {large_setup:.2} s), digest {large_digest:016x}",
-        mbps = r.metrics.throughput_mbps(),
-        cost = r.metrics.cost_ghz_per_gbps(),
-    );
-    if check {
-        check_gate(
-            "scale large",
-            "scale large cell",
-            large_wall,
-            quick,
-            threads,
-        );
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"scale large cell (16 cpus x 4096 flows, rss, Rx 4KB)\",\n    \
-             \"cells\": 1,\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {large_wall:.2},\n    \
-             \"setup_wall_s\": {large_setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{large_digest:016x}\"\n  }}",
-            rate = 1.0 / large_wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-
-    // The million-flow cell: 1M provisioned connections under RSS — the
-    // regime ROADMAP item 3 names, reachable only because the slab path
-    // made construction O(footprint) instead of O(flows x pages). The
-    // workload switches to *aggregate* message targets: the subject is
-    // provisioning and footprint at 1M live flows, and per-flow depth
-    // would multiply the run window by a million for no extra signal.
-    // The peers stream on a bounded working set (the large cell's 256
-    // flows per CPU); the full million streaming at once is receive
-    // livelock by construction — interrupt work alone saturates every
-    // CPU and the consumers never run. The other 99.6% of flows hold
-    // provisioned state, which is what the cell measures.
-    // Quick mode keeps the full 1M flows — construction is the point —
-    // on CI-sized CPU counts and a smaller window.
-    let (m_cpus, m_flows) = if quick {
-        (4, 1_000_000)
-    } else {
-        (16, 1_000_000)
-    };
-    eprintln!("scale 1M cell: {m_cpus} cpus x {m_flows} flows (aggregate targets)...");
-    let t2 = std::time::Instant::now();
-    let mut config = ExperimentConfig::scale(Direction::Rx, m_cpus, m_flows, AffinityMode::Rss);
-    config.workload.aggregate_targets = true;
-    config.workload.active_conns = 256 * m_cpus;
-    if quick {
-        config.workload.warmup_messages = 256;
-        config.workload.measure_messages = 1024;
-    } else {
-        config.workload.warmup_messages = 4_096;
-        config.workload.measure_messages = 16_384;
-    }
-    let r = affinity_sim::run_experiment(&config).expect("valid 1M scale config");
-    let m_wall = t2.elapsed().as_secs_f64();
-    let m_setup = r.setup_wall_s;
-    let m_digest = fnv_fold([r.metrics.wall_cycles]);
-    assert_setup_bound("scale 1M cell", m_setup, m_flows);
-    println!(
-        "1M cell ({m_cpus} cpus x {m_flows} flows, rss): {mbps:.0} Mb/s, {cost:.2} GHz/Gbps in \
-         {m_wall:.2} s (setup {m_setup:.2} s), digest {m_digest:016x}",
-        mbps = r.metrics.throughput_mbps(),
-        cost = r.metrics.cost_ghz_per_gbps(),
-    );
-    if check {
-        check_gate("scale 1M", "scale 1M cell", m_wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"scale 1M cell ({m_cpus} cpus x {m_flows} flows, rss, Rx 4KB)\",\n    \
-             \"cells\": 1,\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {m_wall:.2},\n    \
-             \"setup_wall_s\": {m_setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{m_digest:016x}\"\n  }}",
-            rate = 1.0 / m_wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-}
-
-/// The steering-policy sweep: static RSS hashing vs Flow Director /
-/// aRFS dynamic re-targeting, each under fixed-count and adaptive
-/// interrupt moderation, on the multi-queue SUT (one 4-queue NIC port
-/// per four CPUs, 4 flows per CPU, Rx 4KB). Reports throughput, cost,
-/// machine clears, and the steering counters (re-steers, table rejects,
-/// out-of-order completions) that distinguish the two policies: Flow
-/// Director chases the consumer and so completes some flows' frames on
-/// a different CPU than the previous batch — the reordering signature.
-/// Deterministic: the digest is independent of `REPRO_THREADS`.
-fn steer(quick: bool, check: bool, filter: Option<&str>) {
-    if check {
-        check_rejects_filter("steer", filter);
-    }
-    let rss_static = SteerSpec {
-        placement: FlowPlacement::RssHash,
-        vectors: VectorLayout::SplitEven,
-        dynamic: DynamicSteer::Off,
-        pin_processes: false,
-    };
-    let adaptive = CoalesceConfig::AdaptiveTimeout {
-        min_events: 1,
-        max_events: 8,
-        idle_gap_cycles: 8_000,
-        timeout_cycles: 12_000,
-    };
-    let variants: [(&str, SteerSpec, Option<CoalesceConfig>); 4] = [
-        ("RSS/fixed", rss_static, None),
-        ("RSS/adaptive", rss_static, Some(adaptive)),
-        ("FlowDir/fixed", SteerSpec::flow_director(), None),
-        (
-            "FlowDir/adaptive",
-            SteerSpec::flow_director(),
-            Some(adaptive),
-        ),
-    ];
-    let cpu_grid: Vec<usize> = if quick { vec![4] } else { vec![4, 8, 16] };
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
-    for &cpus in &cpu_grid {
-        for variant in 0..variants.len() {
-            jobs.push((cpus, variant));
-        }
-    }
-    if let Some(spec) = filter {
-        let parts: Vec<&str> = spec.split('/').collect();
-        if parts.len() != 3 {
-            usage_error(
-                "filter",
-                spec,
-                "<policy>/<coalesce>/<cpus> for steer, e.g. flowdir/adaptive/8",
-            );
-        }
-        // Variant names are "<policy>/<coalesce>" (e.g. "FlowDir/adaptive").
-        let policy = format!("{}/{}", parts[0], parts[1]);
-        let cpus_want: usize = parts[2]
-            .parse()
-            .unwrap_or_else(|_| usage_error("filter cpus", parts[2], "a CPU count, e.g. 4, 8, 16"));
-        jobs.retain(|&(cpus, v)| cpus == cpus_want && variants[v].0.eq_ignore_ascii_case(&policy));
-        if jobs.is_empty() {
-            let cpus: Vec<String> = cpu_grid.iter().map(usize::to_string).collect();
-            let policies: Vec<&str> = variants.iter().map(|v| v.0).collect();
-            empty_filter_error(
-                "steer",
-                spec,
-                &format!("policy {}; cpus {}", policies.join(", "), cpus.join(", ")),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "steering sweep: {cells} cells ({} CPU counts x {} policies, Rx 4KB, 4 flows/CPU) on {threads} worker(s)...",
-        cpu_grid.len(),
-        variants.len(),
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs.clone(), threads, move |(cpus, variant)| {
-        let (_, spec, coalesce) = variants[variant];
-        let mut config = ExperimentConfig::steer_sweep(Direction::Rx, cpus, 4 * cpus, spec);
-        if let Some(c) = coalesce {
-            config.nic.coalesce = c;
-        }
-        if !quick {
-            config.workload.warmup_messages = 8;
-            config.workload.measure_messages = 24;
-        }
-        let r = affinity_sim::run_experiment(&config).expect("valid steer config");
-        (
-            r.metrics.wall_cycles,
-            r.metrics.throughput_mbps(),
-            r.metrics.cost_ghz_per_gbps(),
-            r.metrics.total.machine_clears as f64 / r.metrics.messages.max(1) as f64,
-            r.steer,
-            r.setup_wall_s,
-        )
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(.., s)| s).sum();
-    let digest = fnv_fold(results.iter().map(|&(cycles, ..)| cycles));
-
-    println!("steering sweep (Rx, 4KB messages, 4 flows/CPU, 4-queue NIC per 4 CPUs)");
-    println!(
-        "{:>5} {:>17} | {:>9} {:>9} {:>11} {:>9} {:>8} {:>8}",
-        "cpus", "policy", "BW (Mb/s)", "GHz/Gbps", "clears/msg", "resteers", "rejects", "ooo"
-    );
-    for (row, &(_, mbps, cost, clears, counters, _)) in results.iter().enumerate() {
-        let (cpus, variant) = jobs[row];
-        println!(
-            "{cpus:>5} {:>17} | {mbps:>9.0} {cost:>9.2} {clears:>11.1} {:>9} {:>8} {:>8}",
-            variants[variant].0,
-            counters.resteers,
-            counters.table_rejects,
-            counters.ooo_completions,
-        );
-    }
-    // A filtered subset may not contain the variants the comparative
-    // summary needs, so it only renders for the full sweep.
-    if filter.is_none() {
-        let top_cpus = *cpu_grid.last().expect("non-empty cpu grid");
-        let at = |name: &str| {
-            jobs.iter()
-                .zip(&results)
-                .find(|((cpus, v), _)| *cpus == top_cpus && variants[*v].0 == name)
-                .map(|(_, &(_, mbps, ..))| mbps)
-                .expect("variant present")
-        };
-        println!(
-            "\nat {top_cpus} cpus: FlowDir {flowdir:.0} Mb/s vs RSS {rss:.0} Mb/s ({gain:+.1}%)",
-            flowdir = at("FlowDir/fixed"),
-            rss = at("RSS/fixed"),
-            gain = 100.0 * (at("FlowDir/fixed") / at("RSS/fixed") - 1.0),
-        );
-    }
-    println!(
-        "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-        rate = cells as f64 / wall,
-    );
-
-    if check {
-        check_gate("steer", "steering sweep", wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else if filter.is_some() {
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"steering sweep ({n_cpus} CPU counts x 4 policies, Rx 4KB)\",\n    \
-             \"cells\": {cells},\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {wall:.2},\n    \
-             \"setup_wall_s\": {setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-            n_cpus = cpu_grid.len(),
-            rate = cells as f64 / wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-}
-
-/// The interrupt-vs-poll sweep: the interrupt-driven host stack under
-/// three steering policies (every vector on CPU 0, static RSS hashing,
-/// Flow Director) against the kernel-bypass poll-mode dataplane, all on
-/// the same multi-queue geometry (one 4-queue NIC port per four CPUs,
-/// 4 flows per CPU, Rx 4KB). Poll mode takes zero interrupts — no
-/// vector dispatch, no IPIs, no interrupt-caused machine clears — and
-/// the table shows that win next to its price: PMD cores spin at 100%
-/// whether or not frames are arriving, the spin cycles are charged as
-/// busy time, and so the GHz/Gbps column prices the burned cores
-/// honestly (the spin% column shows how much of the busy time was
-/// empty polling). Deterministic: the digest is independent of
-/// `REPRO_THREADS`. With `--check` the wall time is gated against the
-/// latest recorded `poll sweep` row instead of appending a new one.
-fn poll(quick: bool, check: bool, filter: Option<&str>) {
-    if check {
-        check_rejects_filter("poll", filter);
-    }
-    let irq_cpu0 = SteerSpec {
-        placement: FlowPlacement::RoundRobin,
-        vectors: VectorLayout::AllCpu0,
-        dynamic: DynamicSteer::Off,
-        pin_processes: false,
-    };
-    let irq_rss = SteerSpec {
-        placement: FlowPlacement::RssHash,
-        vectors: VectorLayout::SplitEven,
-        dynamic: DynamicSteer::Off,
-        pin_processes: false,
-    };
-    // `None` marks the poll-mode cell (no interrupt steering to pick).
-    let variants: [(&str, Option<SteerSpec>); 4] = [
-        ("Irq/cpu0", Some(irq_cpu0)),
-        ("Irq/RSS", Some(irq_rss)),
-        ("Irq/FlowDir", Some(SteerSpec::flow_director())),
-        ("Poll/pmd", None),
-    ];
-    let cpu_grid: Vec<usize> = if quick { vec![4] } else { vec![4, 8, 16] };
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
-    for &cpus in &cpu_grid {
-        for variant in 0..variants.len() {
-            jobs.push((cpus, variant));
-        }
-    }
-    if let Some(spec) = filter {
-        let parts: Vec<&str> = spec.split('/').collect();
-        if parts.len() != 3 {
-            usage_error(
-                "filter",
-                spec,
-                "<plane>/<policy>/<cpus> for poll, e.g. poll/pmd/8 or irq/rss/4",
-            );
-        }
-        // Variant names are "<plane>/<policy>" (e.g. "Poll/pmd").
-        let plane = format!("{}/{}", parts[0], parts[1]);
-        let cpus_want: usize = parts[2]
-            .parse()
-            .unwrap_or_else(|_| usage_error("filter cpus", parts[2], "a CPU count, e.g. 4, 8, 16"));
-        jobs.retain(|&(cpus, v)| cpus == cpus_want && variants[v].0.eq_ignore_ascii_case(&plane));
-        if jobs.is_empty() {
-            let cpus: Vec<String> = cpu_grid.iter().map(usize::to_string).collect();
-            let planes: Vec<&str> = variants.iter().map(|v| v.0).collect();
-            empty_filter_error(
-                "poll",
-                spec,
-                &format!("plane {}; cpus {}", planes.join(", "), cpus.join(", ")),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "interrupt-vs-poll sweep: {cells} cells ({} CPU counts x {} dataplanes, Rx 4KB, 4 flows/CPU) on {threads} worker(s)...",
-        cpu_grid.len(),
-        variants.len(),
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs.clone(), threads, move |(cpus, variant)| {
-        let (_, spec) = variants[variant];
-        let mut config = match spec {
-            Some(spec) => ExperimentConfig::steer_sweep(Direction::Rx, cpus, 4 * cpus, spec),
-            None => ExperimentConfig::poll_sweep(Direction::Rx, cpus, 4 * cpus),
-        };
-        if !quick {
-            config.workload.warmup_messages = 8;
-            config.workload.measure_messages = 24;
-        }
-        let r = affinity_sim::run_experiment(&config).expect("valid poll config");
-        (
-            r.metrics.wall_cycles,
-            r.metrics.throughput_mbps(),
-            r.metrics.cost_ghz_per_gbps(),
-            r.metrics.interrupts,
-            r.poll,
-            r.setup_wall_s,
-        )
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(.., s)| s).sum();
-    let digest = fnv_fold(results.iter().map(|&(cycles, ..)| cycles));
-
-    println!("interrupt-vs-poll sweep (Rx, 4KB messages, 4 flows/CPU, 4-queue NIC per 4 CPUs)");
-    println!(
-        "{:>5} {:>12} | {:>9} {:>9} {:>6} {:>6} {:>8} {:>12}",
-        "cpus", "dataplane", "BW (Mb/s)", "GHz/Gbps", "irqs", "spin%", "polls", "empty polls"
-    );
-    for (row, &(_, mbps, cost, irqs, counters, _)) in results.iter().enumerate() {
-        let (cpus, variant) = jobs[row];
-        println!(
-            "{cpus:>5} {:>12} | {mbps:>9.0} {cost:>9.2} {irqs:>6} {:>6.1} {:>8} {:>12}",
-            variants[variant].0,
-            100.0 * counters.spin_fraction(),
-            counters.polls,
-            counters.empty_polls,
-        );
-    }
-    // A filtered subset may not contain the variants the comparative
-    // summary needs, so it only renders for the full sweep.
-    if filter.is_none() {
-        let top_cpus = *cpu_grid.last().expect("non-empty cpu grid");
-        let at = |name: &str| {
-            jobs.iter()
-                .zip(&results)
-                .find(|((cpus, v), _)| *cpus == top_cpus && variants[*v].0 == name)
-                .map(|(_, &(_, mbps, cost, ..))| (mbps, cost))
-                .expect("variant present")
-        };
-        let (poll_bw, poll_cost) = at("Poll/pmd");
-        let (rss_bw, rss_cost) = at("Irq/RSS");
-        println!(
-            "\nat {top_cpus} cpus: Poll {poll_bw:.0} Mb/s vs Irq/RSS {rss_bw:.0} Mb/s \
-             ({gain:+.1}%), at {poll_cost:.2} vs {rss_cost:.2} GHz/Gbps — poll's spin \
-             cycles are priced as busy cores",
-            gain = 100.0 * (poll_bw / rss_bw - 1.0),
-        );
-    }
-    println!(
-        "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-        rate = cells as f64 / wall,
-    );
-
-    if check {
-        check_gate("poll", "poll sweep", wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else if filter.is_some() {
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"poll sweep ({n_cpus} CPU counts x 4 dataplanes, Rx 4KB)\",\n    \
-             \"cells\": {cells},\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {wall:.2},\n    \
-             \"setup_wall_s\": {setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-            n_cpus = cpu_grid.len(),
-            rate = cells as f64 / wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-}
-
-/// One churn cell's harvest: simulated wall cycles, completed
-/// connections per wall second (the churn headline), processing cost,
-/// the lifecycle counters, and the host wall spent constructing the
-/// machine (setup, never digested).
-type ChurnCell = (u64, f64, f64, affinity_sim::LifecycleCounters, f64);
-
-/// Runs one churn cell, enforces the drain invariants every churn run
-/// must satisfy (no live flows, no leaked steering-table entries at
-/// exit), and reduces it to a [`ChurnCell`].
-fn run_churn_cell(config: &ExperimentConfig, label: &str) -> ChurnCell {
-    let r = affinity_sim::run_experiment(config).expect("valid churn config");
-    let lc = r.lifecycle;
-    assert!(lc.accepts > 0, "{label}: no accepts in window ({lc:?})");
-    assert!(lc.completes > 0, "{label}: no completes in window ({lc:?})");
-    assert_eq!(lc.final_live_flows, 0, "{label}: flows leaked ({lc:?})");
-    assert_eq!(
-        lc.final_table_entries, 0,
-        "{label}: steering table leaked ({lc:?})"
-    );
-    let m = &r.metrics;
-    let seconds = m.wall_cycles as f64 / m.freq.hertz() as f64;
-    let kconn_s = lc.completes as f64 / seconds / 1e3;
-    (
-        m.wall_cycles,
-        kconn_s,
-        m.cost_ghz_per_gbps(),
-        lc,
-        r.setup_wall_s,
-    )
-}
-
-/// Folds churn cells into the sweep digest: wall cycles *and* the
-/// lifecycle counters, so a refactor that keeps timing but changes
-/// accept/drop accounting still moves the digest. Setup wall is host
-/// time and never folded.
-fn churn_digest(cells: &[ChurnCell]) -> u64 {
-    fnv_fold(
-        cells.iter().flat_map(|&(cycles, _, _, lc, _)| {
-            [cycles, lc.accepts, lc.completes, lc.backlog_drops]
-        }),
-    )
-}
-
-/// The connection-churn sweep: short-lived SYN-to-FIN request/response
-/// connections (open-loop arrivals, accept, one request, one mostly-
-/// mouse response, FIN teardown) on both dataplanes under static RSS
-/// hashing and Flow Director, across CPU counts and concurrent-flow
-/// targets. Where every other sweep measures bulk bandwidth over
-/// immortal flows, this one measures the lifecycle path itself —
-/// completed connections per second, flow completion time percentiles,
-/// SYN backlog drops — and every cell asserts the drain invariants: no
-/// live flow slots and no leaked Flow Director table entries at exit.
-/// Deterministic: the digest is independent of `REPRO_THREADS`. A
-/// standalone 16-CPU x 100k-flow mice-only cell runs on top of the
-/// grid (its own digest and history row), exercising arena recycling
-/// at the flow population the grid can't reach.
-fn churn(quick: bool, check: bool, filter: Option<&str>) {
-    if check {
-        check_rejects_filter("churn", filter);
-    }
-    // Server processes are pinned to their flows' even-spread homes, so
-    // static RSS pays a persistent vector-home-vs-consumer mismatch on
-    // hash-unlucky queues while Flow Director re-targets the vector to
-    // the consumer — without the pin, the server task always runs where
-    // the softirq delivered and the two policies collapse into one.
-    let rss = SteerSpec {
-        placement: FlowPlacement::RssHash,
-        vectors: VectorLayout::SplitEven,
-        dynamic: DynamicSteer::Off,
-        pin_processes: true,
-    };
-    let flowdir = SteerSpec {
-        pin_processes: true,
-        ..SteerSpec::flow_director()
-    };
-    let variants: [(&str, DataplaneMode, SteerSpec); 4] = [
-        ("Irq/RSS", DataplaneMode::Interrupt, rss),
-        ("Irq/FlowDir", DataplaneMode::Interrupt, flowdir),
-        ("Poll/RSS", DataplaneMode::Poll, rss),
-        ("Poll/FlowDir", DataplaneMode::Poll, flowdir),
-    ];
-    // Quick slot counts sit well below the quick-clamped measurement
-    // window (24 completions), so slots recycle *inside* the window and
-    // the nonzero-accepts invariant stays checkable in CI smoke runs.
-    let (cpu_grid, flow_grid): (Vec<usize>, Vec<usize>) = if quick {
-        (vec![4], vec![12])
-    } else {
-        (vec![4, 8, 16], vec![1_000, 10_000])
-    };
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for &cpus in &cpu_grid {
-        for &flows in &flow_grid {
-            for variant in 0..variants.len() {
-                jobs.push((cpus, flows, variant));
-            }
-        }
-    }
-    if let Some(spec) = filter {
-        let parts: Vec<&str> = spec.split('/').collect();
-        if parts.len() != 4 {
-            usage_error(
-                "filter",
-                spec,
-                "<plane>/<policy>/<cpus>/<flows> for churn, e.g. irq/flowdir/8/1000",
-            );
-        }
-        // Variant names are "<plane>/<policy>" (e.g. "Irq/FlowDir").
-        let plane = format!("{}/{}", parts[0], parts[1]);
-        let cpus_want: usize = parts[2]
-            .parse()
-            .unwrap_or_else(|_| usage_error("filter cpus", parts[2], "a CPU count, e.g. 4, 8, 16"));
-        let flows_want: usize = parts[3].parse().unwrap_or_else(|_| {
-            usage_error("filter flows", parts[3], "a flow target, e.g. 1000, 10000")
-        });
-        jobs.retain(|&(cpus, flows, v)| {
-            cpus == cpus_want && flows == flows_want && variants[v].0.eq_ignore_ascii_case(&plane)
-        });
-        if jobs.is_empty() {
-            let cpus: Vec<String> = cpu_grid.iter().map(usize::to_string).collect();
-            let flows: Vec<String> = flow_grid.iter().map(usize::to_string).collect();
-            let planes: Vec<&str> = variants.iter().map(|v| v.0).collect();
-            empty_filter_error(
-                "churn",
-                spec,
-                &format!(
-                    "plane/policy {}; cpus {}; flows {}",
-                    planes.join(", "),
-                    cpus.join(", "),
-                    flows.join(", ")
-                ),
-            );
-        }
-    }
-    let cells = jobs.len();
-    let threads = pool_threads();
-    eprintln!(
-        "churn sweep: {cells} cells ({} CPU counts x {} flow targets x {} planes, Tx RPC) on {threads} worker(s)...",
-        cpu_grid.len(),
-        flow_grid.len(),
-        variants.len(),
-    );
-    let t0 = std::time::Instant::now();
-    let results = run_pool(jobs.clone(), threads, move |(cpus, flows, variant)| {
-        let (name, plane, spec) = variants[variant];
-        let mut config = ExperimentConfig::churn(cpus, flows, spec, plane);
-        if quick {
-            config = config.quick();
-        }
-        run_churn_cell(&config, &format!("{name} {cpus}cpu {flows}flows"))
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let setup: f64 = results.iter().map(|&(.., s)| s).sum();
-    let digest = churn_digest(&results);
-
-    println!("connection-churn sweep (Tx RPC, SYN-to-FIN lifecycle, mice + 1-in-10 elephants)");
-    println!(
-        "{:>5} {:>6} {:>12} | {:>8} {:>9} {:>8} {:>7} {:>9} {:>9}",
-        "cpus", "flows", "plane", "kconn/s", "GHz/Gbps", "accepts", "drops", "fct p50", "fct p99"
-    );
-    for (row, &(_, kconn_s, cost, lc, _)) in results.iter().enumerate() {
-        let (cpus, flows, variant) = jobs[row];
-        println!(
-            "{cpus:>5} {flows:>6} {:>12} | {kconn_s:>8.1} {cost:>9.2} {:>8} {:>7} {:>9} {:>9}",
-            variants[variant].0, lc.accepts, lc.backlog_drops, lc.fct_p50_cycles, lc.fct_p99_cycles,
-        );
-    }
-    // A filtered subset may not contain the variants the comparative
-    // summary needs, so it only renders for the full sweep.
-    if filter.is_none() {
-        let top_cpus = *cpu_grid.last().expect("non-empty cpu grid");
-        let top_flows = *flow_grid.last().expect("non-empty flow grid");
-        let at = |name: &str| {
-            jobs.iter()
-                .zip(&results)
-                .find(|((cpus, flows, v), _)| {
-                    *cpus == top_cpus && *flows == top_flows && variants[*v].0 == name
-                })
-                .map(|(_, &(_, kconn_s, ..))| kconn_s)
-                .expect("variant present")
-        };
-        println!(
-            "\nat {top_cpus} cpus, {top_flows} flows: FlowDir {flowdir:.1} kconn/s vs RSS \
-             {rss:.1} kconn/s ({gain:+.1}%) on the interrupt plane",
-            flowdir = at("Irq/FlowDir"),
-            rss = at("Irq/RSS"),
-            gain = 100.0 * (at("Irq/FlowDir") / at("Irq/RSS") - 1.0),
-        );
-    }
-    println!(
-        "{cells} cells in {wall:.2} s ({rate:.1} cells/sec), digest {digest:016x}",
-        rate = cells as f64 / wall,
-    );
-    if filter.is_some() {
-        eprintln!("filtered run: not recorded in {HISTORY_PATH}; large cell skipped");
-        return;
-    }
-
-    if check {
-        check_gate("churn", "churn sweep", wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"churn sweep ({n_cpus} CPU counts x {n_flows} flow targets x 4 planes, Tx RPC)\",\n    \
-             \"cells\": {cells},\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {wall:.2},\n    \
-             \"setup_wall_s\": {setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{digest:016x}\"\n  }}",
-            n_cpus = cpu_grid.len(),
-            n_flows = flow_grid.len(),
-            rate = cells as f64 / wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-
-    // The standalone large cell: 16 CPUs x 100k concurrent-flow slots,
-    // interrupt plane under Flow Director, mice only — per-connection
-    // cost at a flow population 10x the grid's ceiling, where arena
-    // recycling and table install/teardown either hold their rate or
-    // visibly don't. Quick mode shrinks the slot count (machine
-    // construction, not the lifecycle path, dominates a 100k-slot
-    // build) but keeps the same shape.
-    // The quick variant keeps the slot count under the quick-clamped
-    // window for the same reason as the quick grid above.
-    let (large_cpus, large_flows) = if quick { (8, 16) } else { (16, 100_000) };
-    eprintln!("churn large cell: {large_cpus} cpus x {large_flows} flow slots (mice only)...");
-    let t1 = std::time::Instant::now();
-    let mut config = ExperimentConfig::churn(
-        large_cpus,
-        large_flows,
-        SteerSpec {
-            pin_processes: true,
-            ..SteerSpec::flow_director()
-        },
-        DataplaneMode::Interrupt,
-    );
-    config.server = config.server.map(ServerWorkload::mice_only);
-    if quick {
-        config = config.quick();
-    }
-    let cell = run_churn_cell(&config, "churn large cell");
-    let large_wall = t1.elapsed().as_secs_f64();
-    let large_digest = churn_digest(&[cell]);
-    let (_, kconn_s, cost, lc, large_setup) = cell;
-    println!(
-        "large cell ({large_cpus} cpus x {large_flows} flows, flowdir, mice): {kconn_s:.1} \
-         kconn/s, {cost:.2} GHz/Gbps, {accepts} accepts, {drops} drops, fct p50/p99 \
-         {p50}/{p99} cycles in {large_wall:.2} s (setup {large_setup:.2} s), digest \
-         {large_digest:016x}",
-        accepts = lc.accepts,
-        drops = lc.backlog_drops,
-        p50 = lc.fct_p50_cycles,
-        p99 = lc.fct_p99_cycles,
-    );
-    if check {
-        check_gate(
-            "churn large",
-            "churn large cell",
-            large_wall,
-            quick,
-            threads,
-        );
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"churn large cell ({large_cpus} cpus x {large_flows} flows, flowdir, mice)\",\n    \
-             \"cells\": 1,\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {large_wall:.2},\n    \
-             \"setup_wall_s\": {large_setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{large_digest:016x}\"\n  }}",
-            rate = 1.0 / large_wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-
-    // The million-flow cell: a 1M-slot arena under Flow Director on the
-    // interrupt plane, mice only. The slot population is the subject —
-    // slab provisioning, per-flow region layout, and the steering table
-    // at 1M entries — so the connection budget is overridden to a
-    // modest absolute count instead of `ServerWorkload::churn`'s
-    // half-population scaling (1.5M connections would take hours and
-    // add nothing). Every arrival lands in an empty arena, completes,
-    // and tears down; the drain invariants in `run_churn_cell` prove
-    // the 1M-slot arena and table end empty. Quick mode keeps the full
-    // 1M slots — construction is the point — on CI-sized CPU counts.
-    let (m_cpus, m_flows) = if quick {
-        (4, 1_000_000)
-    } else {
-        (16, 1_000_000)
-    };
-    eprintln!("churn 1M cell: {m_cpus} cpus x {m_flows} flow slots (mice only)...");
-    let t2 = std::time::Instant::now();
-    let mut config = ExperimentConfig::churn(
-        m_cpus,
-        m_flows,
-        SteerSpec {
-            pin_processes: true,
-            ..SteerSpec::flow_director()
-        },
-        DataplaneMode::Interrupt,
-    );
-    config.server = config.server.map(|s| {
-        let mut s = s.mice_only();
-        s.warmup_conns = if quick { 64 } else { 4_000 };
-        s.measure_conns = if quick { 256 } else { 12_000 };
-        // With 1M slots every arrival is open-loop (nothing queues behind
-        // a full arena), so the arrival process must outlast the warmup
-        // completions or the measurement window sees zero accepts. The
-        // default 2k-cycle gap packs the whole wave into the first few
-        // tens of M cycles while the overbooked pile-up pushes mice FCTs
-        // past 300M cycles — every accept lands before the window opens.
-        // A 100k gap spreads arrivals over `conns * 100k` cycles, far
-        // past the last measured completion in both modes.
-        s.arrival_gap_cycles = 100_000;
-        s
-    });
-    let cell = run_churn_cell(&config, "churn 1M cell");
-    let m_wall = t2.elapsed().as_secs_f64();
-    let m_digest = churn_digest(&[cell]);
-    let (_, kconn_s, cost, lc, m_setup) = cell;
-    assert_setup_bound("churn 1M cell", m_setup, m_flows);
-    println!(
-        "1M cell ({m_cpus} cpus x {m_flows} flow slots, flowdir, mice): {kconn_s:.1} \
-         kconn/s, {cost:.2} GHz/Gbps, {accepts} accepts, {drops} drops, fct p50/p99 \
-         {p50}/{p99} cycles in {m_wall:.2} s (setup {m_setup:.2} s), digest {m_digest:016x}",
-        accepts = lc.accepts,
-        drops = lc.backlog_drops,
-        p50 = lc.fct_p50_cycles,
-        p99 = lc.fct_p99_cycles,
-    );
-    if check {
-        check_gate("churn 1M", "churn 1M cell", m_wall, quick, threads);
-    } else if quick {
-        eprintln!("quick smoke run: not recorded in {HISTORY_PATH}");
-    } else {
-        let json = format!(
-            "  {{\n    \"pr\": {CURRENT_PR},\n    \
-             \"benchmark\": \"churn 1M cell ({m_cpus} cpus x {m_flows} flow slots, flowdir, mice)\",\n    \
-             \"cells\": 1,\n    \"threads\": {threads},\n    \
-             \"current_wall_s\": {m_wall:.2},\n    \
-             \"setup_wall_s\": {m_setup:.2},\n    \
-             \"cells_per_sec\": {rate:.1},\n    \"digest\": \"{m_digest:016x}\"\n  }}",
-            rate = 1.0 / m_wall,
-        );
-        append_history(HISTORY_PATH, &json);
-    }
-}
-
-/// `repro --list`: one block per sweep — the filter grammar with its
-/// valid tokens (the same listing the exit-2 paths print) and the
-/// newest recorded history row, digest included.
-fn list_sweeps() {
-    const SWEEPS: [(&str, &str, &str); 9] = [
-        (
-            "perf",
-            "full figure matrix",
-            "--filter <mode>/<size>/<dir>  (mode no|irq|proc|full|rss; size 64..65536; dir tx|rx)",
-        ),
-        (
-            "scale",
-            "scale sweep",
-            "--filter <mode>/<cpus>/<flows>  (mode no|irq|full|rss; cpus 2,4,8,16; flows 8,64,256)",
-        ),
-        (
-            "scale (large cell)",
-            "scale large cell",
-            "no filter grammar — runs after every unfiltered scale sweep",
-        ),
-        (
-            "scale (1M cell)",
-            "scale 1M cell",
-            "no filter grammar — runs after every unfiltered scale sweep",
-        ),
-        (
-            "steer",
-            "steering sweep",
-            "--filter <policy>/<coalesce>/<cpus>  (policy RSS|FlowDir; coalesce fixed|adaptive; cpus 4,8,16)",
-        ),
-        (
-            "poll",
-            "poll sweep",
-            "--filter <plane>/<policy>/<cpus>  (plane/policy Irq/cpu0|Irq/RSS|Irq/FlowDir|Poll/pmd; cpus 4,8,16)",
-        ),
-        (
-            "churn",
-            "churn sweep",
-            "--filter <plane>/<policy>/<cpus>/<flows>  (plane Irq|Poll; policy RSS|FlowDir; cpus 4,8,16; flows 1000,10000)",
-        ),
-        ("churn (large cell)", "churn large cell", "no filter grammar — runs after every unfiltered churn sweep"),
-        ("churn (1M cell)", "churn 1M cell", "no filter grammar — runs after every unfiltered churn sweep"),
-    ];
-    println!("recorded sweeps ({HISTORY_PATH}):");
-    for (name, benchmark_prefix, tokens) in SWEEPS {
-        println!("\n  {name}");
-        println!("    {tokens}");
-        match latest_history_entry(HISTORY_PATH, benchmark_prefix, None) {
-            Some(row) => {
-                let digest = row
-                    .digest
-                    .map_or_else(|| "(none recorded)".to_string(), |d| format!("{d:016x}"));
-                // PR 1-9 rows predate the setup/run split and carry no
-                // setup_wall_s; render only what the row records.
-                let setup = row
-                    .setup_wall
-                    .map_or_else(String::new, |s| format!(" (setup {s:.2} s)"));
-                println!(
-                    "    latest: PR {}, {:.2} s{setup} at {} worker(s), digest {digest}",
-                    row.pr, row.wall_s, row.threads
-                );
-            }
-            None => println!("    latest: no recorded rows"),
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
-    let Args {
-        artifacts,
-        sizes,
-        filter,
-        quick,
-        check,
-        list,
-    } = args;
-    let wants = |name: &str| artifacts.iter().any(|a| a == name);
-
-    if list {
-        list_sweeps();
-        return;
+    let wants = |name: &str| args.artifacts.iter().any(|a| a == name);
+    if let Some(sweep) = subcommands().find(|s| wants(s.name)) {
+        return run_sweep(sweep, &args);
     }
-    if wants("perf") {
-        perf(quick, check, filter.as_deref());
-        return;
+    if args.list {
+        return list_sweeps();
     }
-    if wants("scale") {
-        scale(quick, check, filter.as_deref());
-        return;
-    }
-    if wants("steer") {
-        steer(quick, check, filter.as_deref());
-        return;
-    }
-    if wants("poll") {
-        poll(quick, check, filter.as_deref());
-        return;
-    }
-    if wants("churn") {
-        churn(quick, check, filter.as_deref());
-        return;
-    }
-    if check {
-        eprintln!(
-            "repro: --check only applies to the sweep subcommands (perf, scale, steer, poll, churn)"
-        );
+    if args.check {
+        let names: Vec<&str> = subcommands().map(|s| s.name).collect();
+        let names = names.join(", ");
+        eprintln!("repro: --check only applies to the sweep subcommands ({names})");
         std::process::exit(2);
     }
-    if let Some(spec) = &filter {
+    let (sizes, quick) = (&args.sizes, args.quick);
+    if let Some(spec) = &args.filter {
         let (mode, size, direction) = parse_filter(spec);
         run_filtered(mode, size, direction, quick);
         return;
@@ -1539,7 +1120,7 @@ fn main() {
             "running Figure 3/4 sweeps ({} sizes x 4 modes x 2 dirs)...",
             sizes.len()
         );
-        Some((sweep(Direction::Tx, &sizes), sweep(Direction::Rx, &sizes)))
+        Some((sweep(Direction::Tx, sizes), sweep(Direction::Rx, sizes)))
     } else {
         None
     };

@@ -9,6 +9,7 @@
 use affinity_sim::{
     run_experiment, AffinityMode, Direction, ExperimentConfig, RunMetrics, RunResult,
 };
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -163,21 +164,142 @@ pub fn fnv_fold(values: impl IntoIterator<Item = u64>) -> u64 {
     })
 }
 
-/// Appends one JSON object to an append-only JSON-array history file.
+/// PR number stamped on the rows `repro` appends to the history file.
+pub const CURRENT_PR: u32 = 15;
+
+/// One row of the append-only benchmark history (`BENCH_substrate.json`):
+/// one timed run of a `repro` sweep or extra cell.
 ///
-/// The file holds one entry per recorded benchmark run (`repro perf`,
-/// `repro scale`), newest last, so the bench trajectory across PRs stays
-/// visible instead of being clobbered by every run. A missing or empty
-/// file starts a new array; a legacy single-object snapshot (the pre-PR 3
-/// format) is wrapped into the array as its first entry.
+/// [`fmt::Display`] writes the row in the file's layout and
+/// [`parse_history`] reads it back, so the writer and the reader are the
+/// same type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRow {
+    /// PR number stamped on the row.
+    pub pr: u32,
+    /// What was timed; its text before `" ("` names the sweep.
+    pub benchmark: String,
+    /// Simulation cells in the run.
+    pub cells: usize,
+    /// Worker-pool size the row was recorded at.
+    pub threads: usize,
+    /// Wall seconds of the pre-optimization harness on the same cells
+    /// (matrix rows only).
+    pub baseline_wall_s: Option<f64>,
+    /// Recorded wall seconds.
+    pub current_wall_s: f64,
+    /// Machine-construction wall seconds, the setup share of
+    /// `current_wall_s` (`None` on rows predating the setup/run split).
+    pub setup_wall_s: Option<f64>,
+    /// `baseline_wall_s / current_wall_s` (matrix rows only).
+    pub speedup: Option<f64>,
+    /// `cells / current_wall_s`.
+    pub cells_per_sec: f64,
+    /// Result digest (`None` on rows predating the field).
+    pub digest: Option<u64>,
+}
+
+impl fmt::Display for BenchRow {
+    /// The row as `repro` prints it and the history file stores it: one
+    /// `"key": value` pair per line, optional fields left out when unset.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut fields = vec![
+            ("pr", self.pr.to_string()),
+            ("benchmark", format!("\"{}\"", self.benchmark)),
+            ("cells", self.cells.to_string()),
+            ("threads", self.threads.to_string()),
+        ];
+        let secs = |s: f64| format!("{s:.2}");
+        fields.extend(self.baseline_wall_s.map(|s| ("baseline_wall_s", secs(s))));
+        fields.push(("current_wall_s", secs(self.current_wall_s)));
+        fields.extend(self.setup_wall_s.map(|s| ("setup_wall_s", secs(s))));
+        fields.extend(self.speedup.map(|s| ("speedup", secs(s))));
+        fields.push(("cells_per_sec", format!("{:.1}", self.cells_per_sec)));
+        fields.extend(self.digest.map(|d| ("digest", format!("\"{d:016x}\""))));
+        let body: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| format!("\"{key}\": {value}"))
+            .collect();
+        write!(f, "  {{\n    {}\n  }}", body.join(",\n    "))
+    }
+}
+
+impl BenchRow {
+    /// Builds a row from an object's `(key, raw value)` pairs. Unknown
+    /// keys are ignored; a row missing a required field is `None`.
+    fn from_fields(fields: &[(String, String)]) -> Option<BenchRow> {
+        let get = |key: &str| {
+            fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+        };
+        let num = |key: &str| get(key).and_then(|v| v.parse::<f64>().ok());
+        Some(BenchRow {
+            pr: get("pr")?.parse().ok()?,
+            benchmark: get("benchmark")?.to_string(),
+            cells: get("cells")?.parse().ok()?,
+            threads: get("threads")?.parse().ok()?,
+            baseline_wall_s: num("baseline_wall_s"),
+            current_wall_s: num("current_wall_s")?,
+            setup_wall_s: num("setup_wall_s"),
+            speedup: num("speedup"),
+            cells_per_sec: num("cells_per_sec")?,
+            digest: get("digest").and_then(|d| u64::from_str_radix(d, 16).ok()),
+        })
+    }
+}
+
+/// Parses a history file's text: a JSON array of rows, or a legacy
+/// single-row snapshot (the format before the history grew). Rows are
+/// flat objects whose string values hold no quotes or braces, as
+/// [`BenchRow`] writes them; objects that are not complete rows are
+/// skipped.
+#[must_use]
+pub fn parse_history(text: &str) -> Vec<BenchRow> {
+    let unquote = |s: &str| s.trim().trim_matches('"').to_string();
+    let objects = text.split('{').skip(1).filter_map(|o| o.split_once('}'));
+    objects
+        .filter_map(|(body, _)| {
+            // Fields end at the commas outside string values.
+            let mut in_string = false;
+            let separator = |c: char| {
+                in_string ^= c == '"';
+                c == ',' && !in_string
+            };
+            let fields = body.split(separator).map(|field| {
+                let (key, value) = field.split_once(':')?;
+                Some((unquote(key), unquote(value)))
+            });
+            BenchRow::from_fields(&fields.collect::<Option<Vec<_>>>()?)
+        })
+        .collect()
+}
+
+/// Every row of the history file at `path`, oldest first (none when the
+/// file is missing).
+#[must_use]
+pub fn read_history(path: &str) -> Vec<BenchRow> {
+    std::fs::read_to_string(path).map_or_else(|_| Vec::new(), |text| parse_history(&text))
+}
+
+/// Appends one row to an append-only JSON-array history file.
+///
+/// The file holds one row per recorded benchmark run, newest last, so
+/// the bench trajectory across PRs stays visible instead of being
+/// clobbered by every run. The existing text is kept byte for byte. A
+/// missing or empty file starts a new array; a legacy single-object
+/// snapshot (the format before the history grew) is wrapped into the
+/// array as its first entry.
 ///
 /// # Panics
 ///
 /// Panics if the file can't be written (the harness runs from the repo
 /// root; failing to record a benchmark should be loud).
-pub fn append_history(path: &str, entry: &str) {
+pub fn append_history(path: &str, row: &BenchRow) {
     let existing = std::fs::read_to_string(path).unwrap_or_default();
     let trimmed = existing.trim();
+    let entry = row.to_string();
     let entry = entry.trim();
     let body = if trimmed.is_empty() {
         format!("[\n{entry}\n]\n")
@@ -194,82 +316,18 @@ pub fn append_history(path: &str, entry: &str) {
     std::fs::write(path, body).unwrap_or_else(|e| panic!("write history {path}: {e}"));
 }
 
-/// One row of the append-only benchmark history, as read back by
-/// [`latest_history_entry`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistoryEntry {
-    /// PR number stamped on the row.
-    pub pr: u32,
-    /// Worker-pool size the row was recorded at.
-    pub threads: usize,
-    /// Recorded wall seconds.
-    pub wall_s: f64,
-    /// Recorded machine-construction wall seconds — the setup share of
-    /// `wall_s` (`None` on rows predating the setup/run split).
-    pub setup_wall: Option<f64>,
-    /// Recorded result digest (`None` on rows predating the field).
-    pub digest: Option<u64>,
-}
-
-/// Extracts the value of `"key": value` from one history line, with the
-/// trailing comma stripped (string values keep their quotes).
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = line.trim().strip_prefix('"')?.strip_prefix(key)?;
-    let rest = rest.strip_prefix('"')?.trim_start().strip_prefix(':')?;
-    Some(rest.trim().trim_end_matches(','))
-}
-
-/// Scans an append-only history file (the format [`append_history`]
-/// writes: one `"key": value` pair per line) and returns every entry
-/// whose `benchmark` field starts with `benchmark_prefix`, in file
-/// (oldest-first) order.
-fn scan_history(path: &str, benchmark_prefix: &str) -> Vec<HistoryEntry> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut rows = Vec::new();
-    let (mut pr, mut thr, mut wall) = (None::<u32>, None::<usize>, None::<f64>);
-    let mut setup = None::<f64>;
-    let mut digest = None::<u64>;
-    let mut benchmark: Option<String> = None;
-    for line in text.lines() {
-        let t = line.trim();
-        if let Some(v) = json_field(t, "pr") {
-            pr = v.parse().ok();
-        } else if let Some(v) = json_field(t, "threads") {
-            thr = v.parse().ok();
-        } else if let Some(v) = json_field(t, "current_wall_s") {
-            wall = v.parse().ok();
-        } else if let Some(v) = json_field(t, "setup_wall_s") {
-            setup = v.parse().ok();
-        } else if let Some(v) = json_field(t, "digest") {
-            digest = u64::from_str_radix(v.trim_matches('"'), 16).ok();
-        } else if let Some(v) = json_field(t, "benchmark") {
-            benchmark = Some(v.trim_matches('"').to_string());
-        } else if t.starts_with('}') {
-            if let (Some(pr), Some(threads), Some(wall_s), Some(bench)) =
-                (pr, thr, wall, benchmark.as_deref())
-            {
-                if bench.starts_with(benchmark_prefix) {
-                    rows.push(HistoryEntry {
-                        pr,
-                        threads,
-                        wall_s,
-                        setup_wall: setup,
-                        digest,
-                    });
-                }
-            }
-            (pr, thr, wall, setup, digest, benchmark) = (None, None, None, None, None, None);
-        }
-    }
+/// Every row of the history file whose `benchmark` starts with
+/// `benchmark_prefix`, oldest first.
+fn rows_for(path: &str, benchmark_prefix: &str) -> Vec<BenchRow> {
+    let mut rows = read_history(path);
+    rows.retain(|row| row.benchmark.starts_with(benchmark_prefix));
     rows
 }
 
-/// Returns the **newest** history entry whose `benchmark` field starts
-/// with `benchmark_prefix` and — when `threads` is given — whose
-/// recorded worker count matches, so a fresh run is only compared
-/// against rows timed the same way.
+/// Returns the **newest** history row whose `benchmark` starts with
+/// `benchmark_prefix` and — when `threads` is given — whose recorded
+/// worker count matches, so a fresh run is only compared against rows
+/// timed the same way.
 ///
 /// Returns `None` when the file is missing or no row matches.
 #[must_use]
@@ -277,21 +335,21 @@ pub fn latest_history_entry(
     path: &str,
     benchmark_prefix: &str,
     threads: Option<usize>,
-) -> Option<HistoryEntry> {
-    scan_history(path, benchmark_prefix)
+) -> Option<BenchRow> {
+    rows_for(path, benchmark_prefix)
         .into_iter()
         .rfind(|row| threads.is_none_or(|n| n == row.threads))
 }
 
-/// Returns the newest matching history entry **per recorded worker
+/// Returns the newest matching history row **per recorded worker
 /// count**, sorted by ascending thread count — the comparison set for
 /// the parallel-runner regression warning (`repro <sweep> --check`
 /// warns when a threads>1 row is slower than its threads=1
 /// counterpart).
 #[must_use]
-pub fn latest_entries_by_threads(path: &str, benchmark_prefix: &str) -> Vec<HistoryEntry> {
-    let mut newest: Vec<HistoryEntry> = Vec::new();
-    for row in scan_history(path, benchmark_prefix) {
+pub fn latest_entries_by_threads(path: &str, benchmark_prefix: &str) -> Vec<BenchRow> {
+    let mut newest: Vec<BenchRow> = Vec::new();
+    for row in rows_for(path, benchmark_prefix) {
         if let Some(slot) = newest.iter_mut().find(|e| e.threads == row.threads) {
             *slot = row;
         } else {
@@ -452,43 +510,98 @@ mod tests {
         assert_eq!(fnv_fold([1, 2, 3]), fnv_fold([1, 2, 3]));
     }
 
+    /// A scratch history file path unique to this test process.
+    fn temp_history(tag: &str) -> String {
+        let path = std::env::temp_dir().join(format!("bench_{tag}_{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path").to_string();
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// A row with only the required fields set.
+    fn row(pr: u32, threads: usize, wall: f64, benchmark: &str) -> BenchRow {
+        BenchRow {
+            pr,
+            benchmark: benchmark.to_string(),
+            cells: 1,
+            threads,
+            baseline_wall_s: None,
+            current_wall_s: wall,
+            setup_wall_s: None,
+            speedup: None,
+            cells_per_sec: 1.0,
+            digest: None,
+        }
+    }
+
+    /// The committed history, as `repro` appends to it.
+    const COMMITTED: &str = include_str!("../../../BENCH_substrate.json");
+
+    #[test]
+    fn bench_row_round_trips_the_committed_history() {
+        let rows = parse_history(COMMITTED);
+        assert_eq!(
+            rows.len(),
+            COMMITTED.matches("\"pr\":").count(),
+            "a row was skipped"
+        );
+        let path = temp_history("round_trip");
+        for row in &rows {
+            append_history(&path, row);
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), COMMITTED);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn current_pr_is_not_older_than_the_committed_rows() {
+        let newest = parse_history(COMMITTED).iter().map(|r| r.pr).max();
+        assert!(newest.is_some_and(|pr| CURRENT_PR >= pr), "{newest:?}");
+    }
+
     #[test]
     fn append_history_grows_an_array_and_wraps_legacy_snapshots() {
-        let path = std::env::temp_dir().join(format!("bench_history_{}.json", std::process::id()));
-        let path = path.to_str().expect("utf-8 temp path");
-        let _ = std::fs::remove_file(path);
+        let path = temp_history("history");
+        let (one, two) = (row(1, 1, 1.0, "a"), row(2, 1, 2.0, "b"));
+        let entry = |r: &BenchRow| r.to_string().trim().to_string();
 
         // Empty file -> fresh one-entry array.
-        append_history(path, "{\"pr\": 1}");
+        append_history(&path, &one);
         assert_eq!(
-            std::fs::read_to_string(path).unwrap(),
-            "[\n{\"pr\": 1}\n]\n"
+            std::fs::read_to_string(&path).unwrap(),
+            format!("[\n{}\n]\n", entry(&one))
         );
 
         // Existing array -> appended, newest last.
-        append_history(path, "{\"pr\": 2}");
+        append_history(&path, &two);
         assert_eq!(
-            std::fs::read_to_string(path).unwrap(),
-            "[\n{\"pr\": 1},\n{\"pr\": 2}\n]\n"
+            std::fs::read_to_string(&path).unwrap(),
+            format!("[\n{},\n{}\n]\n", entry(&one), entry(&two))
         );
+        assert_eq!(read_history(&path), vec![one.clone(), two.clone()]);
 
-        // Legacy single-object snapshot -> wrapped as the first entry.
-        std::fs::write(path, "{\n  \"old\": true\n}\n").unwrap();
-        append_history(path, "{\"pr\": 3}");
+        // Legacy single-object snapshot -> wrapped as the first entry,
+        // its text kept as it was.
+        let legacy = "{\n  \"pr\": 1, \"benchmark\": \"a\", \"cells\": 1, \"threads\": 1,\n  \
+                      \"current_wall_s\": 1.0, \"cells_per_sec\": 1.0, \"old\": true\n}";
+        std::fs::write(&path, format!("{legacy}\n")).unwrap();
+        append_history(&path, &two);
         assert_eq!(
-            std::fs::read_to_string(path).unwrap(),
-            "[\n{\n  \"old\": true\n},\n{\"pr\": 3}\n]\n"
+            std::fs::read_to_string(&path).unwrap(),
+            format!("[\n{legacy},\n{}\n]\n", entry(&two))
         );
+        assert_eq!(read_history(&path), vec![one, two]);
 
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn latest_history_entry_picks_newest_matching_row() {
-        let path = std::env::temp_dir().join(format!("bench_latest_{}.json", std::process::id()));
-        let path = path.to_str().expect("utf-8 temp path");
-        let _ = std::fs::remove_file(path);
-        assert_eq!(latest_history_entry(path, "full figure matrix", None), None);
+        let path = temp_history("latest");
+        assert_eq!(
+            latest_history_entry(&path, "full figure matrix", None),
+            None
+        );
 
         for (pr, threads, wall, bench) in [
             (1, 1, 6.48, "full figure matrix (2 dirs x 7 sizes)"),
@@ -496,90 +609,79 @@ mod tests {
             (4, 1, 7.27, "full figure matrix (2 dirs x 7 sizes)"),
             (4, 8, 2.11, "full figure matrix (2 dirs x 7 sizes)"),
         ] {
-            append_history(
-                path,
-                &format!(
-                    "  {{\n    \"pr\": {pr},\n    \"benchmark\": \"{bench}\",\n    \
-                     \"threads\": {threads},\n    \"current_wall_s\": {wall:.2}\n  }}"
-                ),
-            );
+            append_history(&path, &row(pr, threads, wall, bench));
         }
 
         // Newest matching row wins; the threads constraint narrows it.
-        let any = latest_history_entry(path, "full figure matrix", None).unwrap();
-        assert_eq!((any.pr, any.threads, any.wall_s), (4, 8, 2.11));
-        let single = latest_history_entry(path, "full figure matrix", Some(1)).unwrap();
-        assert_eq!((single.pr, single.wall_s), (4, 7.27));
-        let scale = latest_history_entry(path, "scale sweep", None).unwrap();
-        assert_eq!((scale.pr, scale.wall_s), (3, 5.67));
-        assert_eq!(latest_history_entry(path, "steering sweep", None), None);
+        let any = latest_history_entry(&path, "full figure matrix", None).unwrap();
+        assert_eq!((any.pr, any.threads, any.current_wall_s), (4, 8, 2.11));
+        let single = latest_history_entry(&path, "full figure matrix", Some(1)).unwrap();
+        assert_eq!((single.pr, single.current_wall_s), (4, 7.27));
+        let scale = latest_history_entry(&path, "scale sweep", None).unwrap();
+        assert_eq!((scale.pr, scale.current_wall_s), (3, 5.67));
+        assert_eq!(latest_history_entry(&path, "steering sweep", None), None);
         assert_eq!(
-            latest_history_entry(path, "full figure matrix", Some(3)),
+            latest_history_entry(&path, "full figure matrix", Some(3)),
             None
         );
 
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn history_rows_carry_their_recorded_digest() {
-        let path = std::env::temp_dir().join(format!("bench_digest_{}.json", std::process::id()));
-        let path = path.to_str().expect("utf-8 temp path");
-        let _ = std::fs::remove_file(path);
+        let path = temp_history("digest");
 
         // A legacy row without digest/setup fields parses to `None`s; a
         // modern row round-trips the hex digest string back to the u64
         // and carries its setup share.
-        append_history(
-            path,
-            "  {\n    \"pr\": 5,\n    \"benchmark\": \"poll sweep\",\n    \
-             \"threads\": 1,\n    \"current_wall_s\": 1.00\n  }",
-        );
-        let legacy = latest_history_entry(path, "poll sweep", None).unwrap();
-        assert_eq!(legacy.setup_wall, None);
+        std::fs::write(
+            &path,
+            "[\n{\n    \"pr\": 5,\n    \"benchmark\": \"poll sweep\",\n    \"cells\": 12,\n    \
+             \"threads\": 1,\n    \"current_wall_s\": 1.00,\n    \"cells_per_sec\": 12.0\n  }\n]\n",
+        )
+        .unwrap();
+        let legacy = latest_history_entry(&path, "poll sweep", None).unwrap();
+        assert_eq!((legacy.pr, legacy.cells), (5, 12));
+        assert_eq!(legacy.setup_wall_s, None);
         assert_eq!(legacy.digest, None);
-        append_history(
-            path,
-            "  {\n    \"pr\": 10,\n    \"benchmark\": \"poll sweep\",\n    \
-             \"threads\": 1,\n    \"current_wall_s\": 1.10,\n    \
-             \"setup_wall_s\": 0.25,\n    \
-             \"digest\": \"5b4b100cbd3a3908\"\n  }",
-        );
+        let modern = BenchRow {
+            setup_wall_s: Some(0.25),
+            digest: Some(0x5b4b_100c_bd3a_3908),
+            ..row(10, 1, 1.10, "poll sweep")
+        };
+        append_history(&path, &modern);
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("\"digest\": \"5b4b100cbd3a3908\""));
 
-        let newest = latest_history_entry(path, "poll sweep", None).unwrap();
-        assert_eq!(newest.digest, Some(0x5b4b_100c_bd3a_3908));
-        assert_eq!(newest.setup_wall, Some(0.25));
-        let rows = latest_entries_by_threads(path, "poll sweep");
+        let newest = latest_history_entry(&path, "poll sweep", None).unwrap();
+        assert_eq!(newest, modern);
+        let rows = latest_entries_by_threads(&path, "poll sweep");
         assert_eq!(rows.len(), 1, "both rows are threads=1; newest wins");
         assert_eq!(rows[0].pr, 10);
 
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn latest_entries_by_threads_keeps_newest_per_count() {
-        let path = std::env::temp_dir().join(format!("bench_threads_{}.json", std::process::id()));
-        let path = path.to_str().expect("utf-8 temp path");
-        let _ = std::fs::remove_file(path);
-        assert!(latest_entries_by_threads(path, "full figure matrix").is_empty());
+        let path = temp_history("threads");
+        assert!(latest_entries_by_threads(&path, "full figure matrix").is_empty());
 
         for (pr, threads, wall) in [(4, 8, 2.11), (6, 1, 6.37), (6, 4, 6.77), (8, 1, 6.44)] {
-            append_history(
-                path,
-                &format!(
-                    "  {{\n    \"pr\": {pr},\n    \"benchmark\": \"full figure matrix\",\n    \
-                     \"threads\": {threads},\n    \"current_wall_s\": {wall:.2}\n  }}"
-                ),
-            );
+            append_history(&path, &row(pr, threads, wall, "full figure matrix"));
         }
 
-        let rows = latest_entries_by_threads(path, "full figure matrix");
-        let shape: Vec<(u32, usize, f64)> =
-            rows.iter().map(|e| (e.pr, e.threads, e.wall_s)).collect();
+        let rows = latest_entries_by_threads(&path, "full figure matrix");
+        let shape: Vec<(u32, usize, f64)> = rows
+            .iter()
+            .map(|e| (e.pr, e.threads, e.current_wall_s))
+            .collect();
         // Newest row per thread count, ascending by count.
         assert_eq!(shape, vec![(8, 1, 6.44), (6, 4, 6.77), (4, 8, 2.11)]);
 
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -37,7 +37,6 @@ mod ids;
 mod rng;
 mod stats;
 mod time;
-mod trace;
 
 pub use error::SimError;
 pub use event::{EventQueue, ScheduledEvent, ShardedEventQueue};
@@ -45,7 +44,6 @@ pub use ids::{ConnectionId, CpuId, DeviceId, IrqVector, TaskId};
 pub use rng::SimRng;
 pub use stats::{Accumulator, Histogram, RateMeter};
 pub use time::{Frequency, SimTime};
-pub use trace::{TraceEntry, TraceRing};
 
 /// Result alias used across the simulation crates.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -162,6 +162,11 @@ mod sys {
     const PROT_WRITE: c_int = 0x2;
     const MAP_PRIVATE: c_int = 0x02;
     const MAP_ANONYMOUS: c_int = 0x20;
+    /// Reserve no swap or commit charge up front: the dense tables are
+    /// sized for the whole address range (tens of GB at a million flows)
+    /// but touched sparsely, so a strict commit check would refuse a
+    /// mapping whose pages are mostly never faulted in.
+    const MAP_NORESERVE: c_int = 0x4000;
     const MREMAP_MAYMOVE: c_int = 1;
     const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
 
@@ -200,7 +205,7 @@ mod sys {
                     std::ptr::null_mut(),
                     new,
                     PROT_READ | PROT_WRITE,
-                    MAP_PRIVATE | MAP_ANONYMOUS,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
                     -1,
                     0,
                 )
@@ -312,5 +317,20 @@ mod tests {
         assert_eq!(c.len(), 3000);
         assert_eq!(c[2999], 9);
         assert_eq!(c[..2999].iter().max(), Some(&0));
+    }
+
+    /// A table far larger than the host's memory costs only the pages it
+    /// writes: the mapping is reserved lazily, not committed up front.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn sparse_table_larger_than_memory() {
+        let len = (64usize << 30) / size_of::<u64>();
+        let mut v: ZeroedVec<u64> = ZeroedVec::new();
+        v.grow(len);
+        v[len - 1] = 7;
+        assert_eq!(v[len - 1], 7);
+        for i in [0, 1, len / 2, len - 2] {
+            assert_eq!(v[i], 0);
+        }
     }
 }
