@@ -25,8 +25,8 @@
 //! with an event), and the consumer and accounting tail.
 
 use sim_core::{
-    ConnectionId, CpuId, DeviceId, IrqVector, Result, ShardedEventQueue, SimError, SimRng, SimTime,
-    TaskId,
+    ConnectionId, CpuId, DeviceId, IrqVector, LazySlots, Result, ShardedEventQueue, SimError,
+    SimRng, SimTime, TaskId,
 };
 use sim_cpu::{ClearReason, Core, PerfCounters};
 use sim_mem::{MemorySystem, MAX_CPUS};
@@ -148,6 +148,28 @@ enum BlockReason {
     RxData,
 }
 
+/// The CPU some part of each flow's work last ran on, per flow, stored
+/// as `cpu + 1` with `0` for "not yet" so the column starts as zeroed
+/// pages.
+#[derive(Debug)]
+struct LastCpu(Vec<u32>);
+
+impl LastCpu {
+    fn new(flows: usize) -> Self {
+        LastCpu(vec![0; flows])
+    }
+
+    #[inline]
+    fn get(&self, flow: usize) -> Option<CpuId> {
+        self.0[flow].checked_sub(1).map(CpuId::new)
+    }
+
+    #[inline]
+    fn set(&mut self, flow: usize, cpu: CpuId) {
+        self.0[flow] = cpu.index() as u32 + 1;
+    }
+}
+
 /// The application side of one flow's process. Each flow of a ttcp
 /// workload has exactly one process, spawned in flow order, so
 /// `tasks[flow]` belongs to the task whose `TaskId` index is `flow`.
@@ -169,7 +191,11 @@ pub struct Machine {
     apic: IoApic,
     ipi: IpiFabric,
     nics: Vec<Nic>,
-    peers: Vec<Peer>,
+    /// Each flow's peer, built on the flow's first segment from the seed
+    /// drawn for it at construction (`peer_seeds[flow]`, the flow's
+    /// `fork` of the machine's stream, drawn in flow order).
+    peers: LazySlots<Peer>,
+    peer_seeds: Vec<u64>,
     stack: TcpStack,
     prof: Profiler,
     rng: SimRng,
@@ -221,11 +247,12 @@ pub struct Machine {
     /// Queue index local to its NIC port.
     queue_local: Vec<usize>,
 
-    // Per-flow state.
+    // Per-flow state: zeroed columns, and the frame lists built on a
+    // flow's first frame.
     /// Work staged for each flow's next bottom half: data frame sizes,
     /// segments ACKed, ACK frames and tx completions. The interrupt plane
     /// stages at hand-off, a PMD core as it drains its rings.
-    flow_rx_pending: Vec<Vec<u32>>,
+    flow_rx_pending: LazySlots<Vec<u32>>,
     flow_ack_pending: Vec<u32>,
     flow_ack_frames: Vec<u32>,
     flow_txdone_pending: Vec<u32>,
@@ -234,8 +261,8 @@ pub struct Machine {
     wire_cursor: Vec<u64>,
     tx_wire_offset: Vec<u64>,
     peer_inflight: Vec<u32>,
-    last_softirq_cpu: Vec<Option<CpuId>>,
-    last_process_cpu: Vec<Option<CpuId>>,
+    last_softirq_cpu: LastCpu,
+    last_process_cpu: LastCpu,
 
     /// Cycles each CPU has spent in interrupt context (top halves,
     /// bottom halves, flush penalties) — drives the wake-affine gate.
@@ -374,19 +401,7 @@ impl Machine {
             });
         }
 
-        let peers = (0..flows)
-            .map(|i| {
-                Peer::new(
-                    ConnectionId::new(i as u32),
-                    PeerConfig {
-                        ack_every: config.stack.ack_every,
-                        mss: config.stack.mss,
-                        jitter_cycles: config.tunables.arrival_jitter_cycles,
-                    },
-                    rng.fork(i as u64),
-                )
-            })
-            .collect();
+        let peer_seeds = (0..flows).map(|i| rng.fork_seed(i as u64)).collect();
 
         let cores = (0..cpus)
             .map(|c| Core::new(CpuId::new(c as u32), config.cpu))
@@ -452,7 +467,8 @@ impl Machine {
             sched,
             apic,
             ipi: IpiFabric::new(cpus),
-            peers,
+            peers: LazySlots::new(flows),
+            peer_seeds,
             prof: Profiler::new(cpus),
             rng,
             // Steady state carries a few in-flight events per queue
@@ -484,15 +500,15 @@ impl Machine {
             queue_flows,
             queue_nic,
             queue_local,
-            flow_rx_pending: vec![Vec::new(); flows],
+            flow_rx_pending: LazySlots::new(flows),
             flow_ack_pending: vec![0; flows],
             flow_ack_frames: vec![0; flows],
             flow_txdone_pending: vec![0; flows],
             wire_cursor: vec![0; flows],
             tx_wire_offset: vec![0; flows],
             peer_inflight: vec![0; flows],
-            last_softirq_cpu: vec![None; flows],
-            last_process_cpu: vec![None; flows],
+            last_softirq_cpu: LastCpu::new(flows),
+            last_process_cpu: LastCpu::new(flows),
             irq_cycles: vec![0; cpus],
             total_messages: 0,
             measured_messages: 0,
@@ -506,6 +522,19 @@ impl Machine {
             stack,
             vectors,
             config: config.clone(),
+        })
+    }
+
+    /// `flow`'s peer, built from its seed on first use.
+    fn peer(&mut self, flow: usize) -> &mut Peer {
+        let config = PeerConfig {
+            ack_every: self.config.stack.ack_every,
+            mss: self.config.stack.mss,
+            jitter_cycles: self.config.tunables.arrival_jitter_cycles,
+        };
+        let seed = self.peer_seeds[flow];
+        self.peers.get_or_insert_with(flow, || {
+            Peer::new(ConnectionId::new(flow as u32), config, SimRng::new(seed))
         })
     }
 
@@ -982,7 +1011,7 @@ impl Machine {
             if committed + mss > self.config.tunables.rcv_buf_bytes {
                 break;
             }
-            let (seg, gap) = self.peers[flow].source_frame();
+            let (seg, gap) = self.peer(flow).source_frame();
             let at = self.wire_cursor[flow].max(now) + self.wire_time(seg.payload) + gap;
             self.wire_cursor[flow] = at;
             self.peer_inflight[flow] += 1;
@@ -1093,7 +1122,7 @@ impl Machine {
         let conn_id = ConnectionId::new(flow as u32);
         let chunk_bytes =
             (u64::from(room) * u64::from(self.config.stack.mss)).min(self.tasks[flow].remaining);
-        let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+        let cross = self.last_softirq_cpu.get(flow).is_some_and(|s| s != cpu);
         let queue = self.flow_queue[flow];
         let tx_ring = self.nics[self.queue_nic[queue]].tx_ring(self.queue_local[queue]);
         let (segs, delta) = self.charge(c, self.clocks[c], |stack, ctx| {
@@ -1103,7 +1132,7 @@ impl Machine {
             }
             segs
         });
-        self.last_process_cpu[flow] = Some(cpu);
+        self.last_process_cpu.set(flow, cpu);
         match &mut self.plane {
             Dataplane::Interrupt(_) => {
                 self.sched.charge_current(cpu, delta);
@@ -1112,7 +1141,7 @@ impl Machine {
             }
             Dataplane::Poll(plane) => {
                 plane.counters[c].tx_frames += segs.len() as u64;
-                self.last_softirq_cpu[flow] = Some(cpu);
+                self.last_softirq_cpu.set(flow, cpu);
                 // The segments cross the queue's SPSC tx ring to the
                 // device, which drains it onto the wire at once.
                 for &seg in &segs {
@@ -1139,7 +1168,7 @@ impl Machine {
         let cpu = CpuId::new(c as u32);
         let conn_id = ConnectionId::new(flow as u32);
         let want = self.tasks[flow].remaining;
-        let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+        let cross = self.last_softirq_cpu.get(flow).is_some_and(|s| s != cpu);
         let (got, delta) = self.charge(c, self.clocks[c], |stack, ctx| {
             stack.recvmsg(ctx, conn_id, want, cross)
         });
@@ -1147,7 +1176,7 @@ impl Machine {
         if !self.polling() {
             self.sched.charge_current(cpu, delta);
             self.run_since_sched[c] += delta;
-            self.last_process_cpu[flow] = Some(cpu);
+            self.last_process_cpu.set(flow, cpu);
             self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
             // Reading freed socket-buffer space: the advertised window
             // opens.
@@ -1232,7 +1261,7 @@ impl Machine {
                     );
                     return;
                 }
-                if self.peers[flow].on_data_segment().is_some() {
+                if self.peer(flow).on_data_segment().is_some() {
                     // Jittered RTT: client-side processing and switch
                     // queueing desynchronize the connections.
                     let jitter = self
@@ -1267,7 +1296,7 @@ impl Machine {
                         // the paper SUT).
                         for i in 0..self.queue_flows[queue].len() {
                             let flow = self.queue_flows[queue][i];
-                            if let Some(_ack) = self.peers[flow].flush_ack() {
+                            if let Some(_ack) = self.peer(flow).flush_ack() {
                                 self.push_event(
                                     t + self.config.tunables.rtt_cycles,
                                     Event::AckArrival { flow, acked: 1 },
@@ -1287,7 +1316,10 @@ impl Machine {
                     Dataplane::Poll(plane) => plane.cpu_of_queue[queue],
                 };
                 let conn_id = ConnectionId::new(flow as u32);
-                let cross = self.last_process_cpu[flow].is_some_and(|p| p.index() != c);
+                let cross = self
+                    .last_process_cpu
+                    .get(flow)
+                    .is_some_and(|p| p.index() != c);
                 let ((), delta) = self.charge(c, t, |stack, ctx| {
                     stack.retransmit_timeout(ctx, conn_id, bytes, cross);
                 });
@@ -1390,7 +1422,10 @@ impl Machine {
     /// Stages a completion as work for its flow's next bottom half.
     fn stage(&mut self, desc: RxDesc) {
         match desc {
-            RxDesc::Data { flow, bytes, .. } => self.flow_rx_pending[flow].push(bytes),
+            RxDesc::Data { flow, bytes, .. } => self
+                .flow_rx_pending
+                .get_or_insert_with(flow, Vec::new)
+                .push(bytes),
             RxDesc::Ack { flow, acked, .. } => {
                 self.flow_ack_pending[flow] += acked;
                 self.flow_ack_frames[flow] += 1;
@@ -1514,7 +1549,10 @@ impl Machine {
     fn flow_has_pending(&self, flow: usize) -> bool {
         self.flow_txdone_pending[flow] > 0
             || self.flow_ack_pending[flow] > 0
-            || !self.flow_rx_pending[flow].is_empty()
+            || self
+                .flow_rx_pending
+                .get(flow)
+                .is_some_and(|frames| !frames.is_empty())
     }
 
     /// The NAPI poll loop of one queue's softirq: drains every flow of
@@ -1567,12 +1605,16 @@ impl Machine {
         let local = self.queue_local[queue];
         let (tx_ring, rx_ring) = (self.nics[nic].tx_ring(local), self.nics[nic].rx_ring(local));
         let conn_id = ConnectionId::new(flow as u32);
-        let cross = self.last_process_cpu[flow].is_some_and(|p| p != cpu);
+        let cross = self.last_process_cpu.get(flow).is_some_and(|p| p != cpu);
 
         let txdone = std::mem::take(&mut self.flow_txdone_pending[flow]);
         let acked = std::mem::take(&mut self.flow_ack_pending[flow]);
         let ack_frames = std::mem::take(&mut self.flow_ack_frames[flow]);
-        let frames = std::mem::take(&mut self.flow_rx_pending[flow]);
+        let frames = self
+            .flow_rx_pending
+            .get_mut(flow)
+            .map(std::mem::take)
+            .unwrap_or_default();
         let (syn, finack) = match self.server.as_mut() {
             Some(srv) => (
                 std::mem::take(&mut srv.syn_pending[flow]),
@@ -1610,7 +1652,7 @@ impl Machine {
             // this core.
             Dataplane::Poll(plane) => {
                 plane.counters[c].rx_frames += u64::from(rx_frames);
-                self.last_process_cpu[flow] = Some(cpu);
+                self.last_process_cpu.set(flow, cpu);
             }
         }
         // Out-of-order-completion signature (Wu et al.): data frames of
@@ -1619,16 +1661,21 @@ impl Machine {
         // interleave — the reordering pathology of directed steering
         // migrating a flow mid-window. Tracked for every policy so
         // sweeps can compare.
-        if rx_frames > 0 && self.last_softirq_cpu[flow].is_some_and(|prev| prev != cpu) {
+        if rx_frames > 0
+            && self
+                .last_softirq_cpu
+                .get(flow)
+                .is_some_and(|prev| prev != cpu)
+        {
             self.steer_stats.ooo_completions += u64::from(rx_frames);
         }
-        self.last_softirq_cpu[flow] = Some(cpu);
+        self.last_softirq_cpu.set(flow, cpu);
         let now = self.clocks[c];
 
         // Completing execution of a split stack requires interrupting
         // the CPU that owns the process context (the paper's IPI story):
         // the bottom half ran here, the connection's process runs there.
-        if let Some(proc_cpu) = self.last_process_cpu[flow] {
+        if let Some(proc_cpu) = self.last_process_cpu.get(flow) {
             if proc_cpu != cpu && (rx_frames > 0 || acked > 0) {
                 self.deliver_ipi(cpu, proc_cpu, IpiKind::FunctionCall, now);
             }
@@ -1770,7 +1817,7 @@ impl Machine {
         let cross = pc != c;
         let now = self.clocks[c];
         self.charge(pc, now, |stack, ctx| stack.accept(ctx, conn_id, cross));
-        self.last_process_cpu[flow] = Some(cpu);
+        self.last_process_cpu.set(flow, cpu);
         self.steering.flow_opened(flow, cpu, &mut self.steer_stats);
         let measuring = self.measuring;
         let srv = self.server.as_mut().expect("server mode");
@@ -1816,12 +1863,12 @@ impl Machine {
             }
             let pc = self.server_proc_cpu(flow, c);
             let cpu = CpuId::new(pc as u32);
-            let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+            let cross = self.last_softirq_cpu.get(flow).is_some_and(|s| s != cpu);
             let now = self.clocks[c];
             let (got, _) = self.charge(pc, now, |stack, ctx| {
                 stack.recvmsg(ctx, conn_id, want, cross)
             });
-            self.last_process_cpu[flow] = Some(cpu);
+            self.last_process_cpu.set(flow, cpu);
             self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
             if got == 0 {
                 return;
@@ -1855,7 +1902,7 @@ impl Machine {
             }
             let pc = self.server_proc_cpu(flow, c);
             let cpu = CpuId::new(pc as u32);
-            let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+            let cross = self.last_softirq_cpu.get(flow).is_some_and(|s| s != cpu);
             let now = self.clocks[c];
             let nic = self.queue_nic[queue];
             let local = self.queue_local[queue];
@@ -1867,7 +1914,7 @@ impl Machine {
                 }
                 segs
             });
-            self.last_process_cpu[flow] = Some(cpu);
+            self.last_process_cpu.set(flow, cpu);
             self.steering.consumer_ran(flow, cpu, &mut self.steer_stats);
             self.put_on_wire(flow, &segs, self.clocks[pc]);
             let srv = self.server.as_mut().expect("server mode");
@@ -1882,10 +1929,10 @@ impl Machine {
         {
             let pc = self.server_proc_cpu(flow, c);
             let cpu = CpuId::new(pc as u32);
-            let cross = self.last_softirq_cpu[flow].is_some_and(|s| s != cpu);
+            let cross = self.last_softirq_cpu.get(flow).is_some_and(|s| s != cpu);
             let now = self.clocks[c];
             self.charge(pc, now, |stack, ctx| stack.send_fin(ctx, conn_id, cross));
-            self.last_process_cpu[flow] = Some(cpu);
+            self.last_process_cpu.set(flow, cpu);
             self.put_on_wire(flow, &[0], self.clocks[pc]);
         }
     }
@@ -1900,7 +1947,7 @@ impl Machine {
         self.stack.flow_free(conn_id);
         // Drop leftover client delayed-ACK state so the slot's next
         // incarnation starts clean.
-        let _ = self.peers[flow].flush_ack();
+        let _ = self.peer(flow).flush_ack();
         let measuring = self.measuring;
         let (completes, warmup, total, needs_replacement, bytes) = {
             let srv = self.server.as_mut().expect("server mode");
@@ -2146,68 +2193,43 @@ impl Machine {
         }
     }
 
-    /// Name of the active steering policy.
-    #[must_use]
-    pub fn steering_name(&self) -> &'static str {
-        self.steering.name()
-    }
-
-    /// Dynamic vector re-targets performed by the IO-APIC (measurement
-    /// window).
-    #[must_use]
-    pub fn apic_retargets(&self) -> u64 {
-        self.apic.retargets()
-    }
-
-    /// IPIs received per CPU (reschedule kind).
-    #[must_use]
-    pub fn resched_ipis_received(&self, cpu: CpuId) -> u64 {
-        self.ipi.received(cpu, IpiKind::Reschedule)
-    }
-
-    /// Fraction of `cpu`'s time spent in interrupt context so far.
-    #[must_use]
-    pub fn irq_load_fraction(&self, cpu: CpuId) -> f64 {
-        self.irq_load(cpu.index())
-    }
-
-    /// Where each connection's process context last ran, by connection.
-    #[must_use]
-    pub fn process_cpus(&self) -> Vec<Option<CpuId>> {
-        self.last_process_cpu.clone()
-    }
-
-    /// Where each connection's bottom halves last ran, by connection.
-    #[must_use]
-    pub fn softirq_cpus(&self) -> Vec<Option<CpuId>> {
-        self.last_softirq_cpu.clone()
-    }
-
     /// Scheduler statistics (wakeups, migrations, IPIs).
     #[must_use]
     pub fn scheduler_stats(&self) -> sim_os::SchedulerStats {
         self.sched.stats()
     }
-
-    /// Per-task `(migrations, wakeups, run_cycles)` since construction.
-    #[must_use]
-    pub fn task_stats(&self) -> Vec<(u64, u64, u64)> {
-        self.sched
-            .tasks()
-            .map(|t| (t.migrations, t.wakeups, t.run_cycles))
-            .collect()
-    }
-
-    /// Total IPIs of any kind received across CPUs.
-    #[must_use]
-    pub fn total_ipis(&self) -> u64 {
-        self.ipi.total()
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::should_trace;
+    use super::*;
+    use crate::steer::SteerSpec;
+
+    /// A churn cell with 20k provisioned slots that serves a few dozen
+    /// connections builds peers and staged-frame lists for the slots it
+    /// hands out, not for every slot.
+    #[test]
+    fn churn_builds_per_flow_state_only_for_used_slots() {
+        let config = ExperimentConfig::churn(
+            2,
+            20_000,
+            SteerSpec::flow_director(),
+            DataplaneMode::Interrupt,
+        )
+        .quick();
+        let mut machine = Machine::new(&config).unwrap();
+        assert_eq!(
+            (machine.peers.built(), machine.flow_rx_pending.built()),
+            (0, 0)
+        );
+        let metrics = machine.run();
+        assert!(metrics.bytes_moved > 0);
+        let server = machine.server.as_ref().unwrap();
+        let peers = machine.peers.built();
+        assert!(peers > 0 && peers as u64 <= server.accepts, "{peers} peers");
+        assert!(machine.flow_rx_pending.built() <= peers);
+        assert_eq!(machine.peers.len(), 20_000);
+    }
 
     #[test]
     fn trace_gate_fires_on_powers_of_two_and_200k_multiples() {

@@ -165,7 +165,7 @@ pub fn fnv_fold(values: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// PR number stamped on the rows `repro` appends to the history file.
-pub const CURRENT_PR: u32 = 15;
+pub const CURRENT_PR: u32 = 16;
 
 /// One row of the append-only benchmark history (`BENCH_substrate.json`):
 /// one timed run of a `repro` sweep or extra cell.
@@ -408,16 +408,6 @@ pub fn average_metrics(runs: &[RunMetrics]) -> RunMetrics {
     avg.lock_contended = field(&|r| r.lock_contended);
     avg.interrupts = field(&|r| r.interrupts);
     avg
-}
-
-/// Runs one cell for every figure seed and averages the results.
-#[must_use]
-pub fn seed_averaged(direction: Direction, size: u64, mode: AffinityMode) -> RunMetrics {
-    let runs: Vec<RunMetrics> = FIGURE_SEEDS
-        .iter()
-        .map(|&s| run_cell(direction, size, mode, s).metrics)
-        .collect();
-    average_metrics(&runs)
 }
 
 /// Runs a whole figure row (all four modes for one size/direction) on

@@ -35,6 +35,7 @@ mod error;
 mod event;
 mod ids;
 mod rng;
+mod slots;
 mod stats;
 mod time;
 
@@ -42,6 +43,7 @@ pub use error::SimError;
 pub use event::{EventQueue, ScheduledEvent, ShardedEventQueue};
 pub use ids::{ConnectionId, CpuId, DeviceId, IrqVector, TaskId};
 pub use rng::SimRng;
+pub use slots::LazySlots;
 pub use stats::{Accumulator, Histogram, RateMeter};
 pub use time::{Frequency, SimTime};
 

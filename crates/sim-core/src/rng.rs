@@ -50,7 +50,16 @@ impl SimRng {
     /// perturb another.
     #[must_use]
     pub fn fork(&mut self, salt: u64) -> SimRng {
-        SimRng::new(self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        SimRng::new(self.fork_seed(salt))
+    }
+
+    /// The seed of the child [`fork`](Self::fork) with `salt` would
+    /// return, drawn exactly as `fork` draws it: keep eight bytes per
+    /// child now and build it with [`SimRng::new`] when it is first
+    /// needed.
+    #[must_use]
+    pub fn fork_seed(&mut self, salt: u64) -> u64 {
+        self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
     /// Next raw 64-bit value.

@@ -46,6 +46,8 @@
 
 mod cache;
 mod config;
+mod directory;
+mod owner;
 mod region;
 mod system;
 mod tlb;

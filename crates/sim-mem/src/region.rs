@@ -186,6 +186,11 @@ impl MemRegion {
     }
 }
 
+// SAFETY: all-zero bytes decode to `base: 0, size: 0`, a valid value of
+// two integers (one no table hands out: every region has a size).
+#[allow(unsafe_code)]
+unsafe impl crate::zeroed::ZeroDefault for MemRegion {}
+
 /// One run of consecutive region requests (see [`Requests`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Run {
@@ -305,6 +310,28 @@ impl Requests {
         false
     }
 
+    /// Extends the last run by whole passes through index `end - 1`, if
+    /// it is an indexed run of `n` fields whose next request starts the
+    /// pass of index `next`; returns whether it did.
+    fn extend_passes(&mut self, n: usize, next: u64, end: u32) -> bool {
+        let Some(Run {
+            kind: RunKind::Indexed {
+                fields, next: at, ..
+            },
+            ..
+        }) = self.runs.last_mut()
+        else {
+            return false;
+        };
+        if fields.len() != n || *at != (0, next) {
+            return false;
+        }
+        let passes = u64::from(end).saturating_sub(next);
+        *at = (0, next + passes);
+        self.len += passes as usize * n;
+        true
+    }
+
     /// Moves every run of `other` to the end of this list.
     fn append(&mut self, other: Requests) {
         let offset = self.len;
@@ -313,6 +340,23 @@ impl Requests {
             run
         }));
         self.len += other.len;
+    }
+
+    /// Number of fields run `r` cycles through.
+    fn field_count(&self, r: usize) -> usize {
+        match &self.runs[r].kind {
+            RunKind::Single(..) => 1,
+            RunKind::Indexed { fields, .. } => fields.len(),
+        }
+    }
+
+    /// The sizes of run `r`'s fields, in cycle order.
+    fn field_sizes(&self, r: usize) -> impl Iterator<Item = u64> + '_ {
+        let (single, fields) = match &self.runs[r].kind {
+            RunKind::Single(_, size) => (Some(*size), &[][..]),
+            RunKind::Indexed { fields, .. } => (None, &fields[..]),
+        };
+        single.into_iter().chain(fields.iter().map(|f| f.1))
     }
 
     /// Number of requests in run `r`.
@@ -347,15 +391,115 @@ fn same_str(a: &str, b: &str) -> bool {
     (a.as_ptr() == b.as_ptr() && a.len() == b.len()) || a == b
 }
 
+/// Where one run of consecutive regions lies. The run's regions cycle
+/// through its fields: region `k` is field `k % n` of pass `k / n`,
+/// placed `k / n` strides past the run's first page. A single request
+/// is a run of one field. Regions are carved back to back, so a run's
+/// placement is arithmetic and nothing per region needs storing.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Place {
+    /// Id of the run's first region.
+    start: usize,
+    /// Page of the run's first region.
+    first_page: u64,
+    /// Pages one pass over the fields spans.
+    stride: u64,
+    /// `(page offset within a pass, size in bytes)` of each field, the
+    /// size already rounded up to one byte.
+    fields: Vec<(u64, u64)>,
+}
+
+impl Place {
+    /// The placement of a run starting at region `start` on `first_page`
+    /// whose fields have `sizes`.
+    fn new(
+        start: usize,
+        first_page: u64,
+        sizes: impl Iterator<Item = u64>,
+        page_shift: u32,
+    ) -> Self {
+        let mut stride = 0;
+        let fields = sizes
+            .map(|size| {
+                let size = size.max(1);
+                let field = (stride, size);
+                stride += size.div_ceil(1 << page_shift);
+                field
+            })
+            .collect();
+        Place {
+            start,
+            first_page,
+            stride,
+            fields,
+        }
+    }
+
+    /// First page and size of the run's `k`-th region.
+    #[inline]
+    fn region(&self, k: usize) -> (u64, u64) {
+        let n = self.fields.len();
+        let (pass, j) = (k / n, k % n);
+        let (offset, size) = self.fields[j];
+        (self.first_page + pass as u64 * self.stride + offset, size)
+    }
+
+    /// The run-relative index of the region whose pages hold `page`,
+    /// which must lie inside the run.
+    #[inline]
+    fn index_of_page(&self, page: u64) -> usize {
+        let rel = page - self.first_page;
+        let pass = rel / self.stride;
+        let within = rel - pass * self.stride;
+        let j = self.fields[1..]
+            .iter()
+            .take_while(|f| f.0 <= within)
+            .count();
+        pass as usize * self.fields.len() + j
+    }
+
+    /// Pages the run's first `len` regions span.
+    fn pages(&self, len: usize) -> u64 {
+        let n = self.fields.len();
+        let (passes, rest) = (len / n, len % n);
+        passes as u64 * self.stride + self.fields.get(rest).map_or(0, |f| f.0)
+    }
+}
+
 /// Allocator and directory of all simulated memory regions.
+///
+/// Besides placement and names, the table answers which region owns a
+/// page. A touch of a region may run past its end by up to `size - 1`
+/// bytes (offsets wrap, lengths do not; see [`MemRegion::addr`]), so the
+/// memory system attributes each page to a region by the rule it has
+/// always used: region `i` claims the pages from its first one through
+/// its *cover*, `max(base + 2·size, base of region i + 1)`, and a later
+/// claim overrides an earlier one. That rule has a closed form, so no
+/// per-page table exists:
+///
+/// - inside the footprint, a page belongs to the region whose pages hold
+///   it (each region's cover reaches the next region's first page, which
+///   that region claims after it);
+/// - past the footprint, a page belongs to the last region whose cover
+///   reaches it. Only regions whose cover reaches further than every
+///   later region's can be that owner; they form the short `tail` list.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RegionTable {
-    regions: Vec<MemRegion>,
     /// The requests the regions were carved from, one per region; names
     /// render from here.
     requests: Requests,
+    /// Placement of each run of `requests`, in the same order: a
+    /// region's base and size are arithmetic over its run's, so no
+    /// per-region record exists.
+    places: Vec<Place>,
+    /// `(last page of the cover, id)` of each region whose cover reaches
+    /// a page no later region's does: ids ascending, pages strictly
+    /// descending.
+    tail: Vec<(u64, u32)>,
+    /// Furthest cover byte of any region.
+    reach: u64,
     next_base: u64,
-    page_size: u64,
+    page_shift: u32,
 }
 
 impl RegionTable {
@@ -371,11 +515,10 @@ impl RegionTable {
             "page size must be a positive power of two"
         );
         RegionTable {
-            regions: Vec::new(),
-            requests: Requests::default(),
             // Leave page 0 unmapped, like a real kernel.
             next_base: page_size,
-            page_size,
+            page_shift: page_size.trailing_zeros(),
+            ..RegionTable::default()
         }
     }
 
@@ -383,55 +526,94 @@ impl RegionTable {
     /// is the caller's concern; zero-size regions are rounded up to one
     /// byte so `addr()` never divides by zero).
     pub fn add(&mut self, name: impl Into<RegionName>, size: u64) -> RegionId {
+        let runs = self.requests.runs.len();
         self.requests.push(name.into(), size);
-        self.carve(size)
+        // The request starts a run, continues the last run's cycle, or
+        // widens its field list during its first pass: place the new run,
+        // or place the widened one again.
+        let r = self.requests.runs.len() - 1;
+        let new_run = r == runs;
+        if new_run || self.places[r].fields.len() != self.requests.field_count(r) {
+            let first_page = if new_run {
+                self.next_base >> self.page_shift
+            } else {
+                self.places[r].first_page
+            };
+            self.places.truncate(r);
+            self.places.push(Place::new(
+                self.requests.runs[r].start,
+                first_page,
+                self.requests.field_sizes(r),
+                self.page_shift,
+            ));
+        }
+        let id = self.len() - 1;
+        self.carve(id, 1);
+        RegionId(id as u32)
     }
 
     /// Allocates every request of `plan`, in order, exactly as a loop of
     /// [`add`](Self::add) calls would.
     pub(crate) fn add_plan(&mut self, plan: RegionPlan) -> RegionSpan {
         let requests = plan.requests;
-        let span = RegionSpan::new(self.regions.len(), requests.len);
-        self.regions.reserve(requests.len);
-        for (r, run) in requests.runs.iter().enumerate() {
-            let len = requests.run_len(r);
-            match &run.kind {
-                RunKind::Single(_, size) => {
-                    self.carve(*size);
-                }
-                RunKind::Indexed { fields, .. } => {
-                    for (_, size) in fields.iter().cycle().take(len) {
-                        self.carve(*size);
-                    }
-                }
-            }
+        let first = self.len();
+        let span = RegionSpan::new(first, requests.len);
+        for r in 0..requests.runs.len() {
+            let start = first + requests.runs[r].start;
+            let place = Place::new(
+                start,
+                self.next_base >> self.page_shift,
+                requests.field_sizes(r),
+                self.page_shift,
+            );
+            self.places.push(place);
+            self.carve(start, requests.run_len(r));
         }
         self.requests.append(requests);
         span
     }
 
-    /// Places the next region right after the previous one's last page.
-    fn carve(&mut self, size: u64) -> RegionId {
-        let size = size.max(1);
-        let id = RegionId(self.regions.len() as u32);
-        self.regions.push(MemRegion {
-            base: self.next_base,
-            size,
-        });
-        // Advance to the next page boundary past the region (the page
-        // size is a power of two, so a mask rounds up without a divide).
-        self.next_base = (self.next_base + size + self.page_size - 1) & !(self.page_size - 1);
-        id
+    /// Places the `len` regions from id `start` on, the last ones of the
+    /// last run in `places`: moves the next base past them and updates
+    /// the tail and reach.
+    fn carve(&mut self, start: usize, len: usize) {
+        let place = self.places.last().expect("carved regions have a place");
+        let k0 = start - place.start;
+        let end_page = place.first_page + place.pages(k0 + len);
+        self.next_base = end_page << self.page_shift;
+        // A region's pass successor (same field, next pass) covers
+        // strictly further, so only each field's last region of the run
+        // can join the tail: the run's last `min(n, len)` regions.
+        let n = place.fields.len().min(len);
+        for id in start + len - n..start + len {
+            let (page, size) = place.region(id - place.start);
+            let base = page << self.page_shift;
+            let next = base + (size.div_ceil(1 << self.page_shift) << self.page_shift);
+            let cover = (base + 2 * size).max(next);
+            self.reach = self.reach.max(cover);
+            let last = cover >> self.page_shift;
+            while self.tail.last().is_some_and(|&(p, _)| p <= last) {
+                self.tail.pop();
+            }
+            self.tail.push((last, id as u32));
+        }
     }
 
-    /// Looks up a region.
+    /// Looks up a region: a search over the runs, then arithmetic.
     ///
     /// # Panics
     ///
     /// Panics if `id` did not come from this table.
     #[must_use]
     pub fn get(&self, id: RegionId) -> MemRegion {
-        self.regions[id.index()]
+        let i = id.index();
+        assert!(i < self.len(), "region {i} out of range");
+        let place = &self.places[self.places.partition_point(|p| p.start <= i) - 1];
+        let (page, size) = place.region(i - place.start);
+        MemRegion {
+            base: page << self.page_shift,
+            size,
+        }
     }
 
     /// The region's name ("conn3.tcp_context", "nic0.rx_ring", …),
@@ -448,36 +630,48 @@ impl RegionTable {
     /// Number of regions allocated.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.regions.len()
+        self.requests.len
     }
 
     /// Returns `true` if no regions have been allocated.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
+        self.requests.len == 0
     }
 
     /// Iterates over `(id, region)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (RegionId, MemRegion)> + '_ {
-        self.regions
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (RegionId(i as u32), r))
+        (0..self.len()).map(|i| (RegionId(i as u32), self.get(RegionId(i as u32))))
     }
 
-    /// Last line of region `index`'s own bytes, for lines of
-    /// `1 << line_shift` bytes: the bound on which lines count toward a
-    /// region's exclusivity (touches can run past a region's end into
-    /// overflow pages attributed to it; those lines must not count).
+    /// The region that owns `line`'s page (see the type docs), and
+    /// whether the line lies within that region's own bytes — lines in an
+    /// owner's padding or overflow pages do not count toward its
+    /// exclusivity. Lines below the first region (page 0 is never
+    /// carved) report region 0, not its own.
     #[inline]
-    pub(crate) fn last_line(&self, index: u32, line_shift: u32) -> u64 {
-        let r = self.regions[index as usize];
-        (r.base + r.size - 1) >> line_shift
+    pub(crate) fn line_owner(&self, line: u64, line_shift: u32) -> (u32, bool) {
+        let page = line >> (self.page_shift - line_shift);
+        if page >= self.next_base >> self.page_shift {
+            let i = self.tail.partition_point(|&(last, _)| last >= page);
+            debug_assert!(i > 0, "line {line} lies past every region's cover");
+            return (self.tail[i.max(1) - 1].1, false);
+        }
+        let r = self.places.partition_point(|p| p.first_page <= page);
+        if r == 0 {
+            return (0, false);
+        }
+        let place = &self.places[r - 1];
+        let k = place.index_of_page(page);
+        let (first_page, size) = place.region(k);
+        let own = line <= ((first_page << self.page_shift) + size - 1) >> line_shift;
+        ((place.start + k) as u32, own)
     }
 
-    /// The regions allocated after the first `from`, in id order.
-    pub(crate) fn since(&self, from: usize) -> &[MemRegion] {
-        &self.regions[from..]
+    /// Furthest byte any region's cover reaches (see the type docs): the
+    /// end of the address range a touch can reach.
+    pub(crate) fn reach(&self) -> u64 {
+        self.reach
     }
 
     /// Total bytes of simulated memory spanned (including alignment gaps).
@@ -520,6 +714,34 @@ impl RegionPlan {
     #[inline]
     pub fn add(&mut self, name: impl Into<RegionName>, size: u64) {
         self.requests.push(name.into(), size);
+    }
+
+    /// Appends the requests `"{prefix}{i}.{field}"` for every `i` in
+    /// `indices` and every `(field, size)` of `fields`, index-major —
+    /// exactly what the nested loop of [`add`](Self::add) calls would
+    /// append, in time independent of the number of indices.
+    pub fn add_slab(
+        &mut self,
+        prefix: &'static str,
+        indices: std::ops::Range<u32>,
+        fields: &[(&'static str, u64)],
+    ) {
+        let Some(first) = indices.clone().next() else {
+            return;
+        };
+        for &(field, size) in fields {
+            self.add(RegionName::indexed(prefix, first, field), size);
+        }
+        if !self
+            .requests
+            .extend_passes(fields.len(), u64::from(first) + 1, indices.end)
+        {
+            for i in first + 1..indices.end {
+                for &(field, size) in fields {
+                    self.add(RegionName::indexed(prefix, i, field), size);
+                }
+            }
+        }
     }
 
     /// Number of requests in the plan.
@@ -572,6 +794,19 @@ impl RegionSpan {
     pub fn get(&self, i: usize) -> RegionId {
         assert!(i < self.len as usize, "region span index out of range");
         RegionId(self.first + i as u32)
+    }
+
+    /// The `N` region ids from the `i`-th on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i + N > len()`.
+    #[inline]
+    #[must_use]
+    pub fn array<const N: usize>(&self, i: usize) -> [RegionId; N] {
+        assert!(i + N <= self.len as usize, "region span index out of range");
+        let first = self.first + i as u32;
+        std::array::from_fn(|k| RegionId(first + k as u32))
     }
 
     /// Number of regions in the span.
@@ -684,6 +919,7 @@ mod tests {
         assert_eq!(span.get(2).index(), 7);
         let ids: Vec<usize> = span.iter().map(RegionId::index).collect();
         assert_eq!(ids, [5, 6, 7]);
+        assert_eq!(span.array::<2>(1), [span.get(1), span.get(2)]);
         assert!(RegionSpan::new(9, 0).is_empty());
     }
 
@@ -753,6 +989,45 @@ mod tests {
         assert_eq!(t.name_runs(), 6);
     }
 
+    /// `add_slab` appends what the nested loop of `add` calls would,
+    /// whether it starts a run, continues the plan's last run, widens a
+    /// run still in its first pass, or meets a run it cannot continue.
+    #[test]
+    fn add_slab_matches_the_nested_loop() {
+        let fields: [(&str, u64); 2] = [("a", 64), ("b", 5000)];
+        let lead: [&[(u32, &str, u64)]; 5] = [
+            &[],
+            &[(0, "a", 64), (0, "b", 5000), (1, "a", 64), (1, "b", 5000)],
+            &[(2, "x", 64)],
+            &[(0, "a", 64), (0, "b", 5000), (1, "a", 64)],
+            &[(0, "a", 64), (0, "b", 77)],
+        ];
+        for (case, lead) in lead.iter().enumerate() {
+            for indices in [2..6, 2..3, 2..2] {
+                let (mut slab, mut looped) = (RegionPlan::default(), RegionPlan::default());
+                for &(i, field, size) in *lead {
+                    slab.add(RegionName::indexed("conn", i, field), size);
+                    looped.add(RegionName::indexed("conn", i, field), size);
+                }
+                slab.add_slab("conn", indices.clone(), &fields);
+                for i in indices.clone() {
+                    for (field, size) in fields {
+                        looped.add(RegionName::indexed("conn", i, field), size);
+                    }
+                }
+                let (mut a, mut b) = (RegionTable::new(4096), RegionTable::new(4096));
+                a.add_plan(slab);
+                b.add_plan(looped);
+                assert_eq!(a.len(), b.len(), "case {case} {indices:?}");
+                assert_eq!(a.footprint(), b.footprint());
+                for (id, r) in b.iter() {
+                    assert_eq!(a.get(id), r, "case {case} {indices:?} region {id}");
+                    assert_eq!(a.name(id).render(), b.name(id).render());
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn name_of_unknown_region_panics() {
@@ -773,5 +1048,98 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_page_size_rejected() {
         let _ = RegionTable::new(1000);
+    }
+
+    mod owners {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PAGE: u64 = 4096;
+        const LINE_SHIFT: u32 = 6;
+        const LINES_PER_PAGE: u32 = 6;
+
+        /// The page-owner table the memory system kept before owners were
+        /// derived: each region in id order writes its id over the pages
+        /// from its first through its cover, `max(base + 2·size,
+        /// footprint right after it was carved)`, last writer wins.
+        /// Returns the table and the furthest cover.
+        fn dense_owners(t: &RegionTable) -> (Vec<u32>, u64) {
+            let regions: Vec<MemRegion> = t.iter().map(|(_, r)| r).collect();
+            let (mut pages, mut reach) = (Vec::new(), 0);
+            for (i, r) in regions.iter().enumerate() {
+                let footprint = regions.get(i + 1).map_or(t.footprint(), MemRegion::base);
+                let cover = (r.base() + 2 * r.size()).max(footprint);
+                reach = reach.max(cover);
+                let end = (cover / PAGE) as usize + 1;
+                if pages.len() < end {
+                    pages.resize(end, 0);
+                }
+                pages[(r.base() / PAGE) as usize..end].fill(i as u32);
+            }
+            (pages, reach)
+        }
+
+        proptest! {
+            /// The derived owner of every page up to the furthest cover
+            /// equals the dense table's, and so does "own line": whether
+            /// the page's first line lies inside the owner's bytes. Plans
+            /// mix single requests with indexed slabs of uneven field
+            /// sizes (zero and multi-page, so covers reach past later
+            /// regions and past the footprint), and single regions and
+            /// slab continuations are added after the bulk plans, as the
+            /// stack adds its lifecycle symbols.
+            #[test]
+            fn derived_page_owners_match_dense_table(
+                ops in prop::collection::vec((0u8..4, 1u32..5, 0usize..2), 1..10),
+                sizes in prop::collection::vec(0u64..40_000, 4..8),
+            ) {
+                const FIELDS: [&str; 3] = ["tcp_ctx", "sock", "skb_data"];
+                let mut t = RegionTable::new(PAGE);
+                let mut next = 0u32;
+                for (step, &(kind, count, shape)) in ops.iter().enumerate() {
+                    let size = sizes[step % sizes.len()];
+                    match kind {
+                        0 => {
+                            t.add(format!("dev{step}.ring"), size);
+                        }
+                        1 => {
+                            let fields = &FIELDS[..1 + shape + count as usize % 2];
+                            let mut plan = RegionPlan::default();
+                            for flow in next..next + count {
+                                for (j, field) in fields.iter().enumerate() {
+                                    plan.add(
+                                        RegionName::indexed("conn", flow, field),
+                                        sizes[(j + shape) % sizes.len()],
+                                    );
+                                }
+                            }
+                            next += count;
+                            t.add_plan(plan);
+                        }
+                        2 => {
+                            // Continues the last slab's cycle when the
+                            // field and size line up, else starts a run.
+                            t.add(RegionName::indexed("conn", next, FIELDS[0]), sizes[shape]);
+                            next += 1;
+                        }
+                        _ => {
+                            t.add("tcp_fin.text", size);
+                        }
+                    }
+                }
+                let (dense, reach) = dense_owners(&t);
+                prop_assert_eq!(t.reach(), reach);
+                for (page, &want) in dense.iter().enumerate() {
+                    let line = (page as u64) << LINES_PER_PAGE;
+                    let (owner, own) = t.line_owner(line, LINE_SHIFT);
+                    prop_assert_eq!(owner, want, "page {}", page);
+                    if page > 0 {
+                        let r = t.get(RegionId(owner));
+                        let last_line = (r.base() + r.size() - 1) >> LINE_SHIFT;
+                        prop_assert_eq!(own, line <= last_line, "page {}", page);
+                    }
+                }
+            }
+        }
     }
 }

@@ -22,10 +22,14 @@
 //!
 //! Touches dominate simulation time, so the structures they walk are flat:
 //!
-//! * The directory is a dense `Vec<DirEntry>` indexed by line address.
-//!   [`RegionTable`] hands out a contiguous physical range, so the vector
-//!   stays small and a default entry (no sharers, no owner) is exactly
-//!   equivalent to the absence of an entry in a sparse map.
+//! * The directory is indexed by line address, paged in chunks that are
+//!   mapped on their first write ([`Directory`]); a default entry (no
+//!   sharers, no owner) is exactly equivalent to the absence of an entry
+//!   in a sparse map, so an unwritten chunk reads as defaults.
+//! * Cache and directory events are attributed to the region owning the
+//!   affected line's page. A walk knows the owner of its own region's
+//!   lines; any other line's owner is derived from the region layout
+//!   ([`RegionTable`]), so no per-page table exists.
 //! * A CPU's sharer bit is kept **exactly equal to LLC residency** (set by
 //!   the fill that lands the line in the LLC, cleared by the inclusive
 //!   eviction, the write-invalidation and DMA — the only ways a line
@@ -82,12 +86,14 @@ use sim_core::CpuId;
 use crate::cache::{AccessKind, Cache, CacheStats};
 
 use crate::config::MemoryConfig;
-use crate::region::{RegionId, RegionName, RegionPlan, RegionSpan, RegionTable};
+use crate::directory::Directory;
+use crate::owner::{walk_owner, Owner, SlotOwners};
+use crate::region::{MemRegion, RegionId, RegionName, RegionPlan, RegionSpan, RegionTable};
 use crate::tlb::{Tlb, TlbStats};
 use crate::zeroed::ZeroedVec;
 
 /// Per-CPU cache stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CpuCaches {
     l1: Cache,
     l2: Cache,
@@ -95,53 +101,12 @@ struct CpuCaches {
     tc: Cache,
     itlb: Tlb,
     dtlb: Tlb,
+    /// Owners of the lines in `l1`, `llc` and `tc`, whose victims need
+    /// one (`l2` victims need none).
+    l1_owners: SlotOwners,
+    llc_owners: SlotOwners,
+    tc_owners: SlotOwners,
 }
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct DirEntry {
-    /// Bitmask of CPUs that may hold the line.
-    sharers: u32,
-    /// CPU holding the line modified, plus one; `0` means no owner.
-    /// Packed (instead of `Option<u8>`, whose `None` bit pattern is
-    /// unspecified) so the all-zero byte pattern *is* the default entry,
-    /// letting provisioning grow the directory on untouched zeroed pages
-    /// (see [`ZeroedVec`]).
-    owner_plus1: u8,
-}
-
-impl DirEntry {
-    #[inline]
-    fn owner(self) -> Option<u8> {
-        self.owner_plus1.checked_sub(1)
-    }
-
-    #[inline]
-    fn owner_is(self, cpu: u8) -> bool {
-        self.owner_plus1 == cpu + 1
-    }
-
-    #[inline]
-    fn set_owner(&mut self, cpu: u8) {
-        self.owner_plus1 = cpu + 1;
-    }
-
-    #[inline]
-    fn clear_owner(&mut self) {
-        self.owner_plus1 = 0;
-    }
-
-    #[inline]
-    fn take_owner(&mut self) -> Option<u8> {
-        let o = self.owner();
-        self.owner_plus1 = 0;
-        o
-    }
-}
-
-// SAFETY: all-zero bytes decode to `sharers: 0, owner_plus1: 0` — no
-// sharers, no owner — which is exactly `DirEntry::default()`.
-#[allow(unsafe_code)]
-unsafe impl crate::zeroed::ZeroDefault for DirEntry {}
 
 /// What a [`MemoEntry`] asserts about its region on the memo's CPU.
 ///
@@ -390,14 +355,14 @@ fn probe_pages(tlb: &mut Tlb, first: u64, last: u64, lines_per_page_shift: u32) 
 pub struct MemorySystem {
     config: MemoryConfig,
     regions: RegionTable,
+    /// Regions the hot paths have looked up, by id, so a repeat lookup is
+    /// one load rather than a search of the layout. An all-zero entry
+    /// has not been looked up yet (no region has size zero).
+    placed: ZeroedVec<MemRegion>,
     cpus: Vec<CpuCaches>,
-    /// Dense directory, indexed by line address. A default entry is
+    /// Coherence directory, indexed by line address. A default entry is
     /// equivalent to "line unknown".
-    directory: ZeroedVec<DirEntry>,
-    /// Region index per page, for attributing cache and directory events
-    /// (a touch can run past its region's end, so attribution goes by the
-    /// line actually affected, not by the touched region).
-    page_region: ZeroedVec<u32>,
+    directory: Directory,
     /// `memos[cpu]`: the CPU's bounded residency memo, backing the touch
     /// and fetch fast paths.
     memos: Vec<ResidencyMemo>,
@@ -440,6 +405,9 @@ pub struct MemorySystem {
     /// per touch invalidates exactly the same claims as one per line.
     #[serde(skip)]
     bump_masks: Vec<(u32, u32)>,
+    /// Whether any touch or fetch has run yet (see
+    /// [`MemorySystem::add_region`]).
+    warm: bool,
     line_shift: u32,
     page_shift: u32,
 }
@@ -489,6 +457,33 @@ fn excl_delta(excl: &mut [u32], base: usize, old: u32, new: u32) {
     }
 }
 
+/// Drops `victim`, just evicted from CPU `me`'s inclusive LLC, from the
+/// directory's view of `me`: clears its sharer bit and any ownership,
+/// moves its owner's exclusivity count, and bumps the owner's generation
+/// for `me`.
+#[inline]
+fn evict_llc_line(
+    directory: &mut Directory,
+    excl: &mut [u32],
+    bumps: &mut Vec<(u32, u32)>,
+    victim: u64,
+    owner: Owner,
+    me: u8,
+    ncpus: usize,
+) {
+    let me_bit = 1u32 << me;
+    let e = directory.get_mut(victim);
+    let old = e.sharers;
+    e.sharers = old & !me_bit;
+    if e.owner_is(me) {
+        e.clear_owner();
+    }
+    if owner.own() {
+        excl_delta(excl, owner.base(ncpus), old, old & !me_bit);
+    }
+    note_bump(bumps, owner.region(), me_bit);
+}
+
 impl MemorySystem {
     /// Builds a memory system from a validated configuration.
     ///
@@ -519,41 +514,32 @@ impl MemorySystem {
             .collect();
         let line = config.line_size;
         let cpus: Vec<CpuCaches> = (0..config.cpus)
-            .map(|i| CpuCaches {
-                l1: Cache::with_geometry(
-                    format!("cpu{i}.l1d"),
-                    config.l1_size,
-                    config.l1_assoc,
-                    line,
-                ),
-                l2: Cache::with_geometry(
-                    format!("cpu{i}.l2"),
-                    config.l2_size,
-                    config.l2_assoc,
-                    line,
-                ),
-                llc: Cache::with_geometry(
-                    format!("cpu{i}.llc"),
-                    config.llc_size,
-                    config.llc_assoc,
-                    line,
-                ),
-                tc: Cache::with_geometry(
-                    format!("cpu{i}.tc"),
-                    config.tc_size,
-                    config.tc_assoc,
-                    line,
-                ),
-                itlb: Tlb::new(config.itlb_entries as usize),
-                dtlb: Tlb::new(config.dtlb_entries as usize),
+            .map(|i| {
+                let cache = |level: &str, size, assoc| {
+                    Cache::with_geometry(format!("cpu{i}.{level}"), size, assoc, line)
+                };
+                let l1 = cache("l1d", config.l1_size, config.l1_assoc);
+                let llc = cache("llc", config.llc_size, config.llc_assoc);
+                let tc = cache("tc", config.tc_size, config.tc_assoc);
+                CpuCaches {
+                    l1_owners: SlotOwners::new(&l1),
+                    llc_owners: SlotOwners::new(&llc),
+                    tc_owners: SlotOwners::new(&tc),
+                    l1,
+                    l2: cache("l2", config.l2_size, config.l2_assoc),
+                    llc,
+                    tc,
+                    itlb: Tlb::new(config.itlb_entries as usize),
+                    dtlb: Tlb::new(config.dtlb_entries as usize),
+                }
             })
             .collect();
         MemorySystem {
             line_shift: config.line_size.trailing_zeros(),
             page_shift: config.page_size.trailing_zeros(),
             regions: RegionTable::new(config.page_size as u64),
-            directory: ZeroedVec::new(),
-            page_region: ZeroedVec::new(),
+            placed: ZeroedVec::new(),
+            directory: Directory::new(),
             memos,
             gens: ZeroedVec::new(),
             excl: ZeroedVec::new(),
@@ -562,6 +548,7 @@ impl MemorySystem {
             remote_invals: Vec::new(),
             remote_cleans: Vec::new(),
             bump_masks: Vec::new(),
+            warm: false,
             cpus,
             config,
         }
@@ -574,109 +561,69 @@ impl MemorySystem {
     }
 
     /// Allocates a named region of simulated memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics once any touch or fetch has run: a new region would
+    /// take over pages that earlier touches ran onto past the old last
+    /// region, whose cached lines were attributed — and counted toward
+    /// exclusivity — as another region's.
     pub fn add_region(&mut self, name: impl Into<RegionName>, bytes: u64) -> RegionId {
         let id = self.regions.add(name, bytes);
-        let r = self.regions.get(id);
-        let (base, size) = (r.base(), r.size());
-        // A touch starting near the region end runs past it by up to
-        // `size - 1` bytes (see `MemRegion::addr`); cover the worst case
-        // so line indexing never leaves the flat structures.
-        let cover = (base + 2 * size).max(self.regions.footprint());
-        let lines = (cover >> self.line_shift) as usize + 1;
-        self.directory.grow(lines);
-        let first_page = (base >> self.page_shift) as usize;
-        let pages = (cover >> self.page_shift) as usize + 1;
-        self.page_region.grow(pages);
-        // Authoritative for this region's own pages; trailing overflow
-        // pages keep this id until a later region claims them.
-        for p in &mut self.page_region[first_page..pages] {
-            *p = id.index() as u32;
-        }
-        let ncpus = self.cpus.len();
-        let slots = self.regions.len() * ncpus;
-        self.gens.grow(slots);
-        self.excl.grow(slots);
+        self.cover_regions();
         id
     }
 
     /// Allocates every region in `plan` in one batched pass, returning
-    /// the dense id range. Produces state byte-identical to calling
-    /// [`add_region`](Self::add_region) once per plan entry, in order —
-    /// same `RegionId`s, names, bases, footprint, directory/page-table
-    /// lengths, and page ownership — but pays O(1) grows instead of O(n)
-    /// and writes each page's owner once.
+    /// the dense id range. Produces exactly the state a loop of
+    /// [`add_region`](Self::add_region) calls, one per plan entry in
+    /// order, would — same `RegionId`s, names, bases, footprint, page
+    /// owners and table lengths (property-tested in `tests/proptests.rs`)
+    /// — at a cost that grows with the plan's name runs, not its regions.
     ///
-    /// Layout-identity argument (property-tested in
-    /// `tests/proptests.rs`):
+    /// # Panics
     ///
-    /// - **Ids, bases and names.** `RegionTable` placement is independent
-    ///   of the surrounding bookkeeping, so carving all regions first
-    ///   yields the same ids and bases as the interleaved sequence; the
-    ///   plan's name runs move into the table as they are.
-    /// - **Structure lengths.** The incremental path grows `directory`
-    ///   and `page_region` monotonically to per-region high-water marks
-    ///   (`cover_i`), so the final lengths follow the largest cover.
-    ///   `ZeroedVec::grow` never shrinks, so growing to each cover in
-    ///   turn ends at the same length; both paths fill with zeroes
-    ///   (`DirEntry::default()`, page owner `0`).
-    /// - **Page ownership.** Region `i` writes the run
-    ///   `[first_page_i, pages_i)`, and the incremental path resolves
-    ///   overlapping runs last-writer-wins in allocation order, so a
-    ///   page's final owner is the *last* region whose run holds it.
-    ///   Each run reaches past the next region's first page
-    ///   (`cover_i >= base_{i+1}`), so the runs of regions `i+1..` cover
-    ///   one contiguous range `[first_page_{i+1}, hi)`. Walking the
-    ///   regions backwards, region `i` therefore owns
-    ///   `[first_page_i, first_page_{i+1})` plus `[hi, pages_i)` when its
-    ///   run reaches past `hi` — each page is written exactly once.
-    /// - **Per-CPU vectors.** `gens`/`excl` grow by exactly `ncpus`
-    ///   defaults per region regardless of interleaving; one `grow` to
-    ///   `regions.len() * ncpus` is equivalent.
-    ///
-    /// `cover_i` needs the footprint *as of* entry `i`, which for all
-    /// but the last entry equals the next region's base (the table
-    /// advances `next_base` to exactly the next region's base), and for
-    /// the last entry is the final footprint.
+    /// As [`add_region`](Self::add_region).
     pub fn add_regions_bulk(&mut self, plan: RegionPlan) -> RegionSpan {
-        let first = self.regions.len();
         let span = self.regions.add_plan(plan);
-        if span.is_empty() {
-            return span;
+        self.cover_regions();
+        span
+    }
+
+    /// Grows the directory to every line a touch can reach — a touch
+    /// starting near a region's end runs past it by up to `size - 1`
+    /// bytes (see `MemRegion::addr`), which [`RegionTable`] folds into
+    /// its reach — and the per-(region, CPU) tables to the region count.
+    /// The grown tails are untouched zeroed pages (see [`ZeroedVec`]).
+    fn cover_regions(&mut self) {
+        assert!(!self.warm, "regions must be added before the first access");
+        if self.regions.is_empty() {
+            return;
         }
-        let footprint = self.regions.footprint();
-        let regions = self.regions.since(first);
-        // Zero-touch growth: the grown tails are fresh zeroed pages (see
-        // `ZeroedVec`), faulted in only where the run later reaches —
-        // at million-flow sizes the directory alone is gigabytes, and
-        // eagerly dirtying it would dominate construction. Sizing the
-        // page table to the footprint's page up front never overshoots
-        // (the last region's cover ends at or past the footprint); a
-        // region whose cover reaches further grows it in the loop.
-        self.page_region
-            .grow((footprint >> self.page_shift) as usize + 1);
-        let (mut after, mut next_first, mut hi, mut reach) = (footprint, usize::MAX, 0, footprint);
-        for (i, r) in regions.iter().enumerate().rev() {
-            let (base, size) = (r.base(), r.size());
-            let cover = (base + 2 * size).max(after);
-            reach = reach.max(cover);
-            let first_page = (base >> self.page_shift) as usize;
-            let pages = (cover >> self.page_shift) as usize + 1;
-            self.page_region.grow(pages);
-            let id = (first + i) as u32;
-            let own_end = next_first.min(pages);
-            self.page_region[first_page..own_end].fill(id);
-            if pages > hi {
-                self.page_region[hi.max(own_end)..pages].fill(id);
-                hi = pages;
-            }
-            (after, next_first) = (base, first_page);
-        }
-        self.directory.grow((reach >> self.line_shift) as usize + 1);
-        let ncpus = self.cpus.len();
-        let slots = self.regions.len() * ncpus;
+        self.directory
+            .grow((self.regions.reach() >> self.line_shift) as usize + 1);
+        self.placed.grow(self.regions.len());
+        let slots = self.regions.len() * self.cpus.len();
         self.gens.grow(slots);
         self.excl.grow(slots);
-        span
+    }
+
+    /// Region `id`'s placement, remembered after the first lookup.
+    #[inline]
+    fn region(&mut self, id: RegionId) -> MemRegion {
+        let r = self.placed[id.index()];
+        if r.size() != 0 {
+            return r;
+        }
+        self.place(id)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn place(&mut self, id: RegionId) -> MemRegion {
+        let r = self.regions.get(id);
+        self.placed[id.index()] = r;
+        r
     }
 
     /// The region directory.
@@ -709,8 +656,9 @@ impl MemorySystem {
         }
         let idx = cpu.index();
         assert!(idx < self.cpus.len(), "cpu {idx} out of range");
+        self.warm = true;
         let (start, end, region_first_line, region_last_line) = {
-            let r = self.regions.get(region);
+            let r = self.region(region);
             let start = r.addr(offset);
             (
                 start,
@@ -740,7 +688,6 @@ impl MemorySystem {
         let MemorySystem {
             cpus,
             directory,
-            page_region,
             memos,
             gens,
             excl,
@@ -832,6 +779,8 @@ impl MemorySystem {
             (1u32 << ncpus) - 1
         };
         let my = &mut cpus[idx];
+        // Owner of a line this walk fills (see `CpuCaches::l1_owners`).
+        let owner_of = |line: u64| walk_owner(regions, rkey, region_last_line, line, line_shift);
         if all_excl {
             // Directory-free walk: every line of the touch has sharer set
             // exactly `{me}`, so there are no remote copies to invalidate
@@ -850,8 +799,9 @@ impl MemorySystem {
                     continue;
                 }
                 result.l1_misses += 1;
-                if let Some(victim) = l1.evicted {
-                    note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
+                let victim = my.l1_owners.replace(l1.slot, owner_of(line));
+                if l1.evicted.is_some() {
+                    note_bump(bump_masks, victim.region(), me_bit);
                 }
                 if my.l2.access(line, kind).hit {
                     continue;
@@ -870,23 +820,22 @@ impl MemorySystem {
                 // probed first: a resident line's directory owner can only
                 // be this CPU or nobody (a remote write would have
                 // invalidated the copy), so read coherence on an L1 hit is
-                // a no-op and the directory — a large flat array — need
-                // not be touched at all. The remote downgrade and the
-                // local fill operate on disjoint state, so probing before
-                // the downgrade is indistinguishable from the
-                // coherence-first order.
+                // a no-op and the directory need not be touched at all.
+                // The remote downgrade and the local fill operate on
+                // disjoint state, so probing before the downgrade is
+                // indistinguishable from the coherence-first order.
                 match kind {
                     AccessKind::Write => {
-                        let entry = &mut directory[line as usize];
+                        let entry = directory.get_mut(line);
                         let old = entry.sharers;
                         let others = old & !me_bit;
                         entry.sharers = old & me_bit;
                         entry.set_owner(me);
                         if others != 0 {
-                            let rid = page_region[(line >> lpp) as usize];
-                            note_bump(bump_masks, rid, others);
-                            if line <= regions.last_line(rid, line_shift) {
-                                excl_delta(excl, rid as usize * ncpus, old, old & me_bit);
+                            let owner = owner_of(line);
+                            note_bump(bump_masks, owner.region(), others);
+                            if owner.own() {
+                                excl_delta(excl, owner.base(ncpus), old, old & me_bit);
                             }
                             remote_invals.push((line, others));
                         }
@@ -904,12 +853,9 @@ impl MemorySystem {
                                 continue;
                             }
                             result.l1_misses += 1;
-                            if let Some(victim) = l1.evicted {
-                                note_bump(
-                                    bump_masks,
-                                    page_region[(victim >> lpp) as usize],
-                                    me_bit,
-                                );
+                            let victim = my.l1_owners.replace(l1.slot, owner_of(line));
+                            if l1.evicted.is_some() {
+                                note_bump(bump_masks, victim.region(), me_bit);
                             }
                             if my.l2.access(line, kind).hit {
                                 continue;
@@ -928,45 +874,41 @@ impl MemorySystem {
                             result.l1_misses += 1;
                             result.l2_misses += 1;
                             result.llc_misses += 1;
+                            let owner = owner_of(line);
                             let l1 = my.l1.fill_absent(line, kind);
                             span_slots.push(l1.slot);
-                            if let Some(victim) = l1.evicted {
-                                note_bump(
-                                    bump_masks,
-                                    page_region[(victim >> lpp) as usize],
-                                    me_bit,
-                                );
+                            let victim = my.l1_owners.replace(l1.slot, owner);
+                            if l1.evicted.is_some() {
+                                note_bump(bump_masks, victim.region(), me_bit);
                             }
                             let _ = my.l2.fill_absent(line, kind);
                             let llc = my.llc.fill_absent(line, kind);
+                            let victim_owner = my.llc_owners.replace(llc.slot, owner);
                             if let Some(victim) = llc.evicted {
                                 // Inclusive LLC: back-invalidate inner
                                 // levels and drop the victim from the
                                 // directory's view of this CPU.
                                 my.l1.invalidate(victim);
                                 my.l2.invalidate(victim);
-                                let e = &mut directory[victim as usize];
-                                let vold = e.sharers;
-                                e.sharers = vold & !me_bit;
-                                if e.owner_is(me) {
-                                    e.clear_owner();
-                                }
-                                let vrid = page_region[(victim >> lpp) as usize];
-                                if victim <= regions.last_line(vrid, line_shift) {
-                                    excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
-                                }
-                                note_bump(bump_masks, vrid, me_bit);
+                                evict_llc_line(
+                                    directory,
+                                    excl,
+                                    bump_masks,
+                                    victim,
+                                    victim_owner,
+                                    me,
+                                    ncpus,
+                                );
                             }
                             // Record residency: the narrow above left the
                             // set empty, so it becomes exactly `{me}`.
                             // The sharer set grows, so every CPU's view
                             // of this line's region may change.
-                            directory[line as usize].sharers = me_bit;
-                            let rid = page_region[(line >> lpp) as usize];
-                            if line <= regions.last_line(rid, line_shift) {
-                                excl_delta(excl, rid as usize * ncpus, 0, me_bit);
+                            directory.get_mut(line).sharers = me_bit;
+                            if owner.own() {
+                                excl_delta(excl, owner.base(ncpus), 0, me_bit);
                             }
-                            note_bump(bump_masks, rid, all_mask);
+                            note_bump(bump_masks, owner.region(), all_mask);
                         }
                     }
                     AccessKind::Read => {
@@ -976,10 +918,16 @@ impl MemorySystem {
                             continue;
                         }
                         result.l1_misses += 1;
-                        if let Some(victim) = l1.evicted {
-                            note_bump(bump_masks, page_region[(victim >> lpp) as usize], me_bit);
+                        let owner = owner_of(line);
+                        let victim = my.l1_owners.replace(l1.slot, owner);
+                        if l1.evicted.is_some() {
+                            note_bump(bump_masks, victim.region(), me_bit);
                         }
-                        let entry = &mut directory[line as usize];
+                        // A read that gets here records residency below,
+                        // so mapping the line's directory chunk is never
+                        // wasted; a set sharer bit means it is mapped.
+                        let pos = directory.position(line);
+                        let entry = *directory.at(pos);
                         if entry.sharers & me_bit != 0 {
                             // In this CPU's LLC, so its owner can only be
                             // this CPU or nobody (a remote write would
@@ -997,19 +945,15 @@ impl MemorySystem {
                             );
                             continue;
                         }
-                        if let Some(owner) = entry.owner() {
-                            if owner as usize != idx {
+                        if let Some(remote) = entry.owner() {
+                            if remote as usize != idx {
                                 // Remote modified copy: force writeback,
                                 // keep shared. Owner-only change: the
                                 // sharer set is untouched, so `excl`
                                 // does not move.
-                                entry.clear_owner();
-                                note_bump(
-                                    bump_masks,
-                                    page_region[(line >> lpp) as usize],
-                                    1u32 << owner,
-                                );
-                                remote_cleans.push((line, owner));
+                                directory.at(pos).clear_owner();
+                                note_bump(bump_masks, owner.region(), 1u32 << remote);
+                                remote_cleans.push((line, remote));
                             }
                         }
                         // Clear bit ⇒ absent from every level: straight
@@ -1018,30 +962,28 @@ impl MemorySystem {
                         result.llc_misses += 1;
                         let _ = my.l2.fill_absent(line, kind);
                         let llc = my.llc.fill_absent(line, kind);
+                        let victim_owner = my.llc_owners.replace(llc.slot, owner);
                         if let Some(victim) = llc.evicted {
                             my.l1.invalidate(victim);
                             my.l2.invalidate(victim);
-                            let e = &mut directory[victim as usize];
-                            let vold = e.sharers;
-                            e.sharers = vold & !me_bit;
-                            if e.owner_is(me) {
-                                e.clear_owner();
-                            }
-                            let vrid = page_region[(victim >> lpp) as usize];
-                            if victim <= regions.last_line(vrid, line_shift) {
-                                excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
-                            }
-                            note_bump(bump_masks, vrid, me_bit);
+                            evict_llc_line(
+                                directory,
+                                excl,
+                                bump_masks,
+                                victim,
+                                victim_owner,
+                                me,
+                                ncpus,
+                            );
                         }
                         // Record residency.
-                        let entry = &mut directory[line as usize];
+                        let entry = directory.at(pos);
                         let old = entry.sharers;
                         entry.sharers = old | me_bit;
-                        let rid = page_region[(line >> lpp) as usize];
-                        if line <= regions.last_line(rid, line_shift) {
-                            excl_delta(excl, rid as usize * ncpus, old, old | me_bit);
+                        if owner.own() {
+                            excl_delta(excl, owner.base(ncpus), old, old | me_bit);
                         }
-                        note_bump(bump_masks, rid, all_mask);
+                        note_bump(bump_masks, owner.region(), all_mask);
                     }
                 }
             }
@@ -1155,9 +1097,15 @@ impl MemorySystem {
         }
         let idx = cpu.index();
         assert!(idx < self.cpus.len(), "cpu {idx} out of range");
-        let (start, end) = {
-            let r = self.regions.get(region);
-            (r.addr(offset), r.addr(offset) + bytes.min(r.size()))
+        self.warm = true;
+        let (start, end, region_last_line) = {
+            let r = self.region(region);
+            let start = r.addr(offset);
+            (
+                start,
+                start + bytes.min(r.size()),
+                (r.base() + r.size() - 1) >> self.line_shift,
+            )
         };
         let first = start >> self.line_shift;
         let last = (end - 1) >> self.line_shift;
@@ -1170,7 +1118,6 @@ impl MemorySystem {
         let MemorySystem {
             cpus,
             directory,
-            page_region,
             memos,
             gens,
             excl,
@@ -1219,10 +1166,15 @@ impl MemorySystem {
             result.tc_misses += 1;
             // The fill may displace another region's code; its span claim
             // dies with the victim.
-            if let Some(victim) = tc.evicted {
-                memo.forget_code(page_region[(victim >> lpp) as usize]);
+            let owner = walk_owner(regions, rkey, region_last_line, line, line_shift);
+            let victim = caches.tc_owners.replace(tc.slot, owner);
+            if tc.evicted.is_some() {
+                memo.forget_code(victim.region());
             }
-            if directory[line as usize].sharers & me_bit != 0 {
+            // A set sharer bit means the line's chunk is mapped, and a
+            // clear one leads to the record below.
+            let pos = directory.position(line);
+            if directory.at(pos).sharers & me_bit != 0 {
                 // In this CPU's LLC (sharer bit ⟺ LLC residency): the L2
                 // may miss but the LLC cannot, and the refill changes no
                 // directory state, so no generation moves.
@@ -1244,29 +1196,19 @@ impl MemorySystem {
             result.llc_misses += 1;
             let _ = caches.l2.fill_absent(line, AccessKind::Read);
             let llc = caches.llc.fill_absent(line, AccessKind::Read);
+            let victim_owner = caches.llc_owners.replace(llc.slot, owner);
             if let Some(victim) = llc.evicted {
                 caches.l1.invalidate(victim);
                 caches.l2.invalidate(victim);
-                let e = &mut directory[victim as usize];
-                let vold = e.sharers;
-                e.sharers = vold & !me_bit;
-                if e.owner_is(me) {
-                    e.clear_owner();
-                }
-                let vrid = page_region[(victim >> lpp) as usize];
-                if victim <= regions.last_line(vrid, line_shift) {
-                    excl_delta(excl, vrid as usize * ncpus, vold, vold & !me_bit);
-                }
-                note_bump(bump_masks, vrid, me_bit);
+                evict_llc_line(directory, excl, bump_masks, victim, victim_owner, me, ncpus);
             }
-            let e = &mut directory[line as usize];
+            let e = directory.at(pos);
             let old = e.sharers;
             e.sharers = old | me_bit;
-            let rid = page_region[(line >> lpp) as usize];
-            if line <= regions.last_line(rid, line_shift) {
-                excl_delta(excl, rid as usize * ncpus, old, old | me_bit);
+            if owner.own() {
+                excl_delta(excl, owner.base(ncpus), old, old | me_bit);
             }
-            note_bump(bump_masks, rid, all_mask);
+            note_bump(bump_masks, owner.region(), all_mask);
         }
         apply_bumps(gens, bump_masks, ncpus);
 
@@ -1300,18 +1242,22 @@ impl MemorySystem {
         if bytes == 0 {
             return;
         }
-        let (start, end) = {
-            let r = self.regions.get(region);
-            (r.addr(offset), r.addr(offset) + bytes.min(r.size()))
+        let (start, end, region_last_line) = {
+            let r = self.region(region);
+            let start = r.addr(offset);
+            (
+                start,
+                start + bytes.min(r.size()),
+                (r.base() + r.size() - 1) >> self.line_shift,
+            )
         };
         let first = self.line_of(start);
         let last = self.line_of(end.saturating_sub(1));
-        let lpp = self.page_shift - self.line_shift;
         let line_shift = self.line_shift;
+        let rkey = region.index() as u32;
         let MemorySystem {
             cpus,
             directory,
-            page_region,
             gens,
             excl,
             regions,
@@ -1336,17 +1282,15 @@ impl MemorySystem {
         bump_masks.clear();
         let mut union_mask = 0u32;
         for line in first..=last {
-            let entry = &mut directory[line as usize];
-            let mask = entry.sharers;
+            let mask = directory.take(line).sharers;
             dma_sharers.push(mask);
             if mask != 0 {
                 union_mask |= mask;
-                *entry = DirEntry::default();
-                let rid = page_region[(line >> lpp) as usize];
-                if line <= regions.last_line(rid, line_shift) {
-                    excl_delta(excl, rid as usize * ncpus, mask, 0);
+                let owner = walk_owner(regions, rkey, region_last_line, line, line_shift);
+                if owner.own() {
+                    excl_delta(excl, owner.base(ncpus), mask, 0);
                 }
-                note_bump(bump_masks, rid, mask);
+                note_bump(bump_masks, owner.region(), mask);
             }
         }
         apply_bumps(gens, bump_masks, ncpus);
@@ -1391,7 +1335,7 @@ impl MemorySystem {
             return;
         }
         let (start, end) = {
-            let r = self.regions.get(region);
+            let r = self.region(region);
             (r.addr(offset), r.addr(offset) + bytes.min(r.size()))
         };
         let first = self.line_of(start);
@@ -1400,7 +1344,8 @@ impl MemorySystem {
             cpus, directory, ..
         } = self;
         for line in first..=last {
-            if let Some(owner) = directory[line as usize].take_owner() {
+            if let Some(owner) = directory.get(line).owner() {
+                directory.get_mut(line).clear_owner();
                 let c = &mut cpus[owner as usize];
                 c.l1.clean(line);
                 c.l2.clean(line);
@@ -1428,26 +1373,6 @@ impl MemorySystem {
     #[must_use]
     pub fn llc_stats(&self, cpu: CpuId) -> CacheStats {
         self.cpus[cpu.index()].llc.stats()
-    }
-
-    /// L2 statistics for `cpu`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    #[must_use]
-    pub fn l2_stats(&self, cpu: CpuId) -> CacheStats {
-        self.cpus[cpu.index()].l2.stats()
-    }
-
-    /// Trace-cache statistics for `cpu`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    #[must_use]
-    pub fn tc_stats(&self, cpu: CpuId) -> CacheStats {
-        self.cpus[cpu.index()].tc.stats()
     }
 
     /// ITLB/DTLB statistics for `cpu`.
@@ -1504,7 +1429,7 @@ impl MemorySystem {
             let last = self.line_of(r.base() + r.size() - 1);
             let mut naive = vec![0u32; ncpus];
             for line in first..=last {
-                let e = &self.directory[line as usize];
+                let e = self.directory.get(line);
                 if e.sharers.count_ones() == 1 {
                     naive[e.sharers.trailing_zeros() as usize] += 1;
                 }
@@ -1537,16 +1462,24 @@ impl MemorySystem {
         }
     }
 
-    /// Snapshot of the construction-time layout: directory and page-table
-    /// shape, full page ownership, and the per-CPU vector lengths. Two systems built by different provisioning
-    /// paths (incremental `add_region` loop vs `add_regions_bulk`) must
-    /// compare equal here — the equivalence the bulk path's property test
-    /// pins.
+    /// Snapshot of the construction-time layout: directory shape, the
+    /// owner of every page a touch can reach, and the per-CPU tables. Two
+    /// systems built by different provisioning paths (incremental
+    /// `add_region` loop vs `add_regions_bulk`) must compare equal here —
+    /// the equivalence the bulk path's property test pins.
     #[must_use]
     pub fn construction_layout(&self) -> ConstructionLayout {
+        let lpp = self.page_shift - self.line_shift;
+        let pages = if self.regions.is_empty() {
+            0
+        } else {
+            (self.regions.reach() >> self.page_shift) + 1
+        };
         ConstructionLayout {
-            directory_lines: self.directory.len(),
-            page_region: self.page_region.to_vec(),
+            directory_lines: self.directory.lines(),
+            page_owners: (0..pages)
+                .map(|page| self.regions.line_owner(page << lpp, self.line_shift).0)
+                .collect(),
             gens: self.gens.to_vec(),
             excl: self.excl.to_vec(),
         }
@@ -1573,8 +1506,9 @@ impl MemorySystem {
 pub struct ConstructionLayout {
     /// `directory` length in cache lines.
     pub directory_lines: usize,
-    /// Full page-ownership table (`page -> region index`).
-    pub page_region: Vec<u32>,
+    /// The owner of every page up to the furthest a touch can reach
+    /// (`page -> region index`), as derived from the region layout.
+    pub page_owners: Vec<u32>,
     /// Per-region × per-CPU residency generations.
     pub gens: Vec<u64>,
     /// Per-region × per-CPU live exclusivity counts.
@@ -1969,6 +1903,15 @@ mod tests {
             // Every memo recorded claims on every CPU.
             assert!(m.memos.iter().all(|memo| memo.head > 0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first access")]
+    fn regions_are_laid_out_before_the_first_access() {
+        let mut m = sys();
+        let a = m.add_region("a", 4096);
+        m.data_touch(CPU0, a, 0, 64, false);
+        m.add_region("b", 64);
     }
 
     #[test]

@@ -517,12 +517,6 @@ impl Scheduler {
         self.stats
     }
 
-    /// Number of tasks spawned.
-    #[must_use]
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Iterates over all tasks.
     pub fn tasks(&self) -> impl Iterator<Item = &Task> {
         self.tasks.iter()

@@ -12,8 +12,9 @@
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
-use sim_core::ConnectionId;
-use sim_mem::{MemorySystem, RegionId, RegionName, RegionPlan};
+use sim_core::{ConnectionId, LazySlots};
+use sim_mem::{MemorySystem, RegionId, RegionPlan, RegionSpan};
+use sim_os::SpinLock;
 
 use crate::config::StackConfig;
 use crate::congestion::CongestionState;
@@ -66,17 +67,47 @@ impl FlowId {
 /// it lives in the stack's single [`crate::stack::ListenSocket`]. A slot
 /// on the free list is in `Closed`; `alloc` hands it out still `Closed`
 /// until the SYN is processed in the softirq.
+///
+/// `Established` is discriminant zero: a provisioned slot is an open
+/// connection (the ttcp setup), so the arena's state column starts as
+/// zeroed pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum ConnState {
     /// No connection: the slot is free or the handshake hasn't started.
-    Closed,
+    Closed = 1,
     /// SYN received and SYN-ACK sent; waiting in the accept backlog.
-    SynRcvd,
+    SynRcvd = 2,
     /// Fully open — the data fast path.
-    Established,
+    Established = 0,
     /// FIN sent, waiting for the peer's FIN-ACK before the slot is
     /// recycled.
-    FinWait,
+    FinWait = 3,
+}
+
+impl ConnState {
+    /// The state stored as `byte` in the arena's state column.
+    fn from_byte(byte: u8) -> Self {
+        match byte {
+            0 => ConnState::Established,
+            1 => ConnState::Closed,
+            2 => ConnState::SynRcvd,
+            _ => ConnState::FinWait,
+        }
+    }
+}
+
+/// A slot's per-connection state that has no all-zero fresh value: built
+/// on the slot's first write (see [`LazySlots`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Socket {
+    /// Frames in the socket receive queue (payload bytes each), with the
+    /// DMA-buffer offset they point at.
+    pub rx_queue: VecDeque<(u32, u64)>,
+    /// Reno congestion control for the send side.
+    pub congestion: CongestionState,
+    /// The connection's `sk_lock`.
+    pub lock: SpinLock,
 }
 
 /// Structure-of-arrays arena of per-flow protocol state.
@@ -86,16 +117,20 @@ pub enum ConnState {
 /// for: socket receive queue, delayed-ACK counter, send-window
 /// accounting, and the rolling slab/DMA cursors that decide which cache
 /// lines each operation touches.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[cfg_attr(test, derive(PartialEq))]
+///
+/// A provisioned slot costs only what a run touches. Every column's
+/// fresh value is all zero bytes, so the columns start as untouched
+/// zeroed pages; the [`Socket`] state, which has no such value, is built
+/// on the slot's first write; and a slot's regions are arithmetic over
+/// the provisioned slab.
+#[derive(Debug, Clone)]
 pub(crate) struct FlowArena {
     /// Current generation of each slot (bumped on reuse).
     generations: Vec<u32>,
-    pub ids: Vec<ConnectionId>,
-    pub regions: Vec<ConnectionRegions>,
-    /// Frames in the socket receive queue (payload bytes each), with the
-    /// DMA-buffer offset they point at.
-    pub rx_queue: Vec<VecDeque<(u32, u64)>>,
+    /// The six per-flow regions of every slot, slot-major.
+    slab: RegionSpan,
+    /// The NIC RX-buffer region each slot's packets are DMA'd into.
+    rx_dma: Vec<RegionId>,
     /// Total bytes in the receive queue.
     pub rx_queue_bytes: Vec<u64>,
     /// Data segments received since the last ACK we sent.
@@ -119,25 +154,29 @@ pub(crate) struct FlowArena {
     pub rx_bytes_delivered: Vec<u64>,
     /// Bytes the application has submitted on TX.
     pub tx_bytes_submitted: Vec<u64>,
-    /// Reno congestion control for the send side.
-    pub congestion: Vec<CongestionState>,
-    /// Whether the connection has completed the handshake. Connections
-    /// start established (the paper's ttcp setup connects once before
-    /// measurement) but still slow-start from the initial window during
-    /// warm-up.
-    pub established: Vec<bool>,
-    /// Lifecycle state of each slot (see [`ConnState`]).
-    pub states: Vec<ConnState>,
-    /// Recycled slot indices available for [`FlowArena::alloc`] (LIFO).
-    free_list: Vec<u32>,
-    /// Slots currently holding a live connection (not on the free list).
+    /// Lifecycle state of each slot, as [`ConnState`] discriminants. A
+    /// connection is established exactly when its state is.
+    /// Connections start established (the paper's ttcp setup connects
+    /// once before measurement) but still slow-start from the initial
+    /// window during warm-up.
+    states: Vec<u8>,
+    /// Each slot's [`Socket`], built on first write.
+    sockets: LazySlots<Socket>,
+    /// The congestion state a connection starts with.
+    fresh_congestion: CongestionState,
+    /// Freed slots, reused LIFO before any fresh one.
+    recycle: Vec<u32>,
+    /// Slots `0..fresh` are free and have never been handed out since
+    /// the arena last emptied; [`alloc`](Self::alloc) takes them from
+    /// the top down.
+    fresh: usize,
+    /// Slots currently allocated.
     live: usize,
 }
 
 impl FlowArena {
-    /// The six per-flow region `(suffix, size)` requests, in the exact
-    /// order [`insert`](Self::insert) has always allocated them — the
-    /// bulk slab path replays this same sequence.
+    /// The six per-flow region `(suffix, size)` requests, in the order
+    /// each flow's regions are carved.
     fn region_requests(config: &StackConfig, max_message: u64) -> [(&'static str, u64); 6] {
         let app_buf = max_message.max(4096);
         [
@@ -150,84 +189,29 @@ impl FlowArena {
         ]
     }
 
-    /// Allocates the connection's memory regions and appends a fresh slot
-    /// with empty protocol state.
-    ///
-    /// The production path is [`provision`](Self::provision);
-    /// this single-flow form is the reference implementation the
-    /// bulk-vs-loop equivalence test compares against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn insert(
-        &mut self,
-        id: ConnectionId,
-        mem: &mut MemorySystem,
-        config: &StackConfig,
-        rx_dma_buf: RegionId,
-        max_message: u64,
-    ) -> FlowId {
-        let conn = id.index() as u32;
-        let [tcp_ctx, sock, skb_meta, skb_data, tx_app_buf, rx_app_buf] =
-            Self::region_requests(config, max_message).map(|(suffix, size)| {
-                mem.add_region(RegionName::indexed("conn", conn, suffix), size)
-            });
-        let regions = ConnectionRegions {
-            tcp_ctx,
-            sock,
-            skb_meta,
-            skb_data,
-            tx_app_buf,
-            rx_app_buf,
-            rx_dma_buf,
-        };
-        self.push_slot(id, regions, config)
-    }
-
-    /// An arena of `conn_dma.len()` live connection slots, provisioned
-    /// in one pass: the per-flow regions are carved out of simulated
-    /// memory as a single contiguous strided slab (six regions per flow,
-    /// flow-major — the exact allocation order an
-    /// [`insert`](Self::insert) loop produces, so region ids, names, and
-    /// bases are bit-identical), and each column is built whole with the
-    /// fresh protocol state [`push_slot`](Self::push_slot) appends slot
-    /// by slot. All-zero columns come from `vec![0; n]`, which may hand
-    /// back untouched zeroed pages. Churn-mode `alloc`/`free` recycles
-    /// these slots and never allocates regions at runtime; the pages of
-    /// slots a run never recycles are never faulted in.
+    /// An arena of `conn_dma.len()` live, established connection slots.
+    /// The per-flow regions are carved out of simulated memory as one
+    /// contiguous strided slab (six regions per flow, flow-major, named
+    /// `conn{i}.{field}`), and the per-slot state costs nothing until a
+    /// slot is used (see the type docs). Churn-mode `alloc`/`free`
+    /// recycles these slots and never allocates regions at runtime.
     pub(crate) fn provision(
         mem: &mut MemorySystem,
         config: &StackConfig,
         conn_dma: &[RegionId],
         max_message: u64,
     ) -> Self {
-        let requests = Self::region_requests(config, max_message);
         let mut plan = RegionPlan::default();
-        for conn in 0..conn_dma.len() as u32 {
-            for &(suffix, size) in &requests {
-                plan.add(RegionName::indexed("conn", conn, suffix), size);
-            }
-        }
-        let slab = mem.add_regions_bulk(plan);
         let n = conn_dma.len();
+        plan.add_slab(
+            "conn",
+            0..n as u32,
+            &Self::region_requests(config, max_message),
+        );
         FlowArena {
             generations: vec![0; n],
-            ids: (0..n as u32).map(ConnectionId::new).collect(),
-            regions: conn_dma
-                .iter()
-                .enumerate()
-                .map(|(i, &rx_dma_buf)| {
-                    let stride = requests.len() * i;
-                    ConnectionRegions {
-                        tcp_ctx: slab.get(stride),
-                        sock: slab.get(stride + 1),
-                        skb_meta: slab.get(stride + 2),
-                        skb_data: slab.get(stride + 3),
-                        tx_app_buf: slab.get(stride + 4),
-                        rx_app_buf: slab.get(stride + 5),
-                        rx_dma_buf,
-                    }
-                })
-                .collect(),
-            rx_queue: vec![VecDeque::new(); n],
+            slab: mem.add_regions_bulk(plan),
+            rx_dma: conn_dma.to_vec(),
             rx_queue_bytes: vec![0; n],
             frames_since_ack: vec![0; n],
             tx_inflight: vec![0; n],
@@ -238,48 +222,18 @@ impl FlowArena {
             rx_dma_cursor: vec![0; n],
             rx_bytes_delivered: vec![0; n],
             tx_bytes_submitted: vec![0; n],
-            congestion: vec![CongestionState::new(config.initial_cwnd, config.max_cwnd); n],
-            established: vec![true; n],
-            states: vec![ConnState::Established; n],
-            free_list: Vec::new(),
+            states: vec![ConnState::Established as u8; n],
+            sockets: LazySlots::new(n),
+            fresh_congestion: CongestionState::new(config.initial_cwnd, config.max_cwnd),
+            recycle: Vec::new(),
+            fresh: 0,
             live: n,
         }
     }
 
-    /// Appends one live slot with fresh protocol state.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn push_slot(
-        &mut self,
-        id: ConnectionId,
-        regions: ConnectionRegions,
-        config: &StackConfig,
-    ) -> FlowId {
-        let index = self.ids.len() as u32;
-        self.generations.push(0);
-        self.ids.push(id);
-        self.regions.push(regions);
-        self.rx_queue.push(VecDeque::new());
-        self.rx_queue_bytes.push(0);
-        self.frames_since_ack.push(0);
-        self.tx_inflight.push(0);
-        self.tx_unacked.push(0);
-        self.skb_data_cursor.push(0);
-        self.meta_alloc_cursor.push(0);
-        self.meta_free_cursor.push(0);
-        self.rx_dma_cursor.push(0);
-        self.rx_bytes_delivered.push(0);
-        self.tx_bytes_submitted.push(0);
-        self.congestion
-            .push(CongestionState::new(config.initial_cwnd, config.max_cwnd));
-        self.established.push(true);
-        self.states.push(ConnState::Established);
-        self.live += 1;
-        FlowId { index, gen: 0 }
-    }
-
     /// Number of flows in the arena.
     pub(crate) fn len(&self) -> usize {
-        self.ids.len()
+        self.generations.len()
     }
 
     /// Number of slots currently allocated (not on the free list).
@@ -287,27 +241,100 @@ impl FlowArena {
         self.live
     }
 
-    /// Pops a recycled slot and resets its protocol state for a new
-    /// connection, returning the slot's current-generation handle.
+    /// Number of slots whose [`Socket`] has been built.
+    #[cfg(test)]
+    pub(crate) fn built(&self) -> usize {
+        self.sockets.built()
+    }
+
+    /// The memory regions of slot `s`.
+    #[inline]
+    pub(crate) fn regions(&self, s: usize) -> ConnectionRegions {
+        let [tcp_ctx, sock, skb_meta, skb_data, tx_app_buf, rx_app_buf] = self.slab.array(6 * s);
+        ConnectionRegions {
+            tcp_ctx,
+            sock,
+            skb_meta,
+            skb_data,
+            tx_app_buf,
+            rx_app_buf,
+            rx_dma_buf: self.rx_dma[s],
+        }
+    }
+
+    /// Lifecycle state of slot `s`. A free slot never handed out since
+    /// the arena emptied is `Closed`, whatever its column byte says.
+    #[inline]
+    pub(crate) fn state(&self, s: usize) -> ConnState {
+        if s < self.fresh {
+            return ConnState::Closed;
+        }
+        ConnState::from_byte(self.states[s])
+    }
+
+    #[inline]
+    pub(crate) fn set_state(&mut self, s: usize, state: ConnState) {
+        self.states[s] = state as u8;
+    }
+
+    /// Slot `s`'s congestion state (a fresh one if the slot has none).
+    #[inline]
+    pub(crate) fn congestion(&self, s: usize) -> CongestionState {
+        match self.sockets.get(s) {
+            Some(socket) => socket.congestion,
+            None => self.fresh_congestion,
+        }
+    }
+
+    /// Slot `s`'s spinlock statistics.
+    pub(crate) fn lock_stats(&self, s: usize) -> sim_os::SpinLockStats {
+        self.sockets
+            .get(s)
+            .map_or_else(Default::default, |socket| socket.lock.stats())
+    }
+
+    /// Slot `s`'s [`Socket`], built first if this is its first write.
+    #[inline]
+    pub(crate) fn socket(&mut self, s: usize) -> &mut Socket {
+        let congestion = &self.fresh_congestion;
+        self.sockets.get_or_insert_with(s, || Socket {
+            rx_queue: VecDeque::new(),
+            congestion: *congestion,
+            lock: SpinLock::new(),
+        })
+    }
+
+    /// Hands out a free slot with fresh protocol state for a new
+    /// connection, returning its current-generation handle: the most
+    /// recently freed slot, else the highest never-used one. Returns
+    /// `None` when every slot is live.
     ///
     /// The connection's memory regions and the rolling slab/DMA cursors
     /// are deliberately *kept*: the slab allocator cycles buffers through
     /// the same arena across connections, so a recycled slot inherits the
     /// cache weather of its predecessor — the same churn the real
-    /// allocator produces. Returns `None` when the free list is empty.
-    pub(crate) fn alloc(&mut self, config: &StackConfig) -> Option<FlowId> {
-        let index = self.free_list.pop()?;
+    /// allocator produces.
+    pub(crate) fn alloc(&mut self) -> Option<FlowId> {
+        let index = match self.recycle.pop() {
+            Some(index) => index,
+            None if self.fresh > 0 => {
+                self.fresh -= 1;
+                self.fresh as u32
+            }
+            None => return None,
+        };
         let s = index as usize;
-        self.rx_queue[s].clear();
         self.rx_queue_bytes[s] = 0;
         self.frames_since_ack[s] = 0;
         self.tx_inflight[s] = 0;
         self.tx_unacked[s] = 0;
         self.rx_bytes_delivered[s] = 0;
         self.tx_bytes_submitted[s] = 0;
-        self.congestion[s] = CongestionState::new(config.initial_cwnd, config.max_cwnd);
-        self.established[s] = false;
-        self.states[s] = ConnState::Closed;
+        self.set_state(s, ConnState::Closed);
+        let congestion = self.fresh_congestion;
+        let socket = self.socket(s);
+        socket.rx_queue.clear();
+        socket.congestion = congestion;
         self.live += 1;
         Some(FlowId {
             index,
@@ -324,24 +351,18 @@ impl FlowArena {
     pub(crate) fn free(&mut self, flow: FlowId) {
         let s = self.slot(flow);
         self.generations[s] = self.generations[s].wrapping_add(1);
-        self.established[s] = false;
-        self.states[s] = ConnState::Closed;
-        self.free_list.push(s as u32);
+        self.set_state(s, ConnState::Closed);
+        self.recycle.push(s as u32);
         self.live -= 1;
     }
 
-    /// Moves every slot onto the free list (server-mode initialisation:
-    /// slots are pre-inserted for their memory regions, then allocated on
-    /// SYN arrival). Generations bump so pre-existing handles go stale.
-    /// The LIFO free order is deterministic: highest slot pops first.
+    /// Frees every slot (server-mode initialisation: slots are
+    /// provisioned for their memory regions, then allocated on SYN
+    /// arrival). The hand-out order is deterministic: highest slot
+    /// first. Writes no per-slot state.
     pub(crate) fn free_all(&mut self) {
-        self.free_list.clear();
-        for s in 0..self.ids.len() {
-            self.generations[s] = self.generations[s].wrapping_add(1);
-            self.established[s] = false;
-            self.states[s] = ConnState::Closed;
-            self.free_list.push(s as u32);
-        }
+        self.recycle.clear();
+        self.fresh = self.len();
         self.live = 0;
     }
 
@@ -380,24 +401,24 @@ mod tests {
     use super::*;
     use sim_mem::MemoryConfig;
 
-    fn arena_with_one(conn: u32) -> (MemorySystem, FlowArena, FlowId) {
+    /// An arena of `n` slots on a fresh paper-SUT memory system, every
+    /// slot DMA-ing through one receive buffer.
+    fn arena_with_slots(n: u32) -> (MemorySystem, FlowArena) {
         let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
         let dma = mem.add_region("nic0.rx_buffers", 64 * 1024);
-        let mut arena = FlowArena::default();
-        let flow = arena.insert(
-            ConnectionId::new(conn),
+        let arena = FlowArena::provision(
             &mut mem,
             &StackConfig::paper(),
-            dma,
-            65536,
+            &vec![dma; n as usize],
+            4096,
         );
-        (mem, arena, flow)
+        (mem, arena)
     }
 
     #[test]
     fn regions_are_allocated_distinct() {
-        let (mem, arena, flow) = arena_with_one(3);
-        let r = arena.regions[arena.slot(flow)];
+        let (mem, arena) = arena_with_slots(4);
+        let r = arena.regions(arena.slot(arena.handle(ConnectionId::new(3))));
         let all = [
             r.tcp_ctx,
             r.sock,
@@ -414,8 +435,10 @@ mod tests {
         assert_eq!(mem.regions().name(r.tcp_ctx).render(), "conn3.tcp_ctx");
     }
 
+    /// The slab carves exactly what one `add_region` call per flow field,
+    /// flow-major, would: same ids, bases, sizes and names.
     #[test]
-    fn provision_matches_insert_loop() {
+    fn provision_matches_add_region_loop() {
         let config = StackConfig::paper();
         let (mut mem_a, mut mem_b) = (
             MemorySystem::new(MemoryConfig::paper_sut(2)),
@@ -427,52 +450,55 @@ mod tests {
         let dma_b: Vec<_> = (0..3)
             .map(|i| mem_b.add_region(format!("nic{i}.rx_buffers"), 64 * 1024))
             .collect();
-        let mut loop_arena = FlowArena::default();
-        for (i, &dma) in dma_a.iter().enumerate() {
-            loop_arena.insert(ConnectionId::new(i as u32), &mut mem_a, &config, dma, 65536);
+        let requests = FlowArena::region_requests(&config, 65536);
+        let mut looped = Vec::new();
+        for conn in 0..3 {
+            for (suffix, size) in requests {
+                looped.push(mem_a.add_region(format!("conn{conn}.{suffix}"), size));
+            }
         }
-        let bulk_arena = FlowArena::provision(&mut mem_b, &config, &dma_b, 65536);
-        assert_eq!(bulk_arena, loop_arena);
+        let arena = FlowArena::provision(&mut mem_b, &config, &dma_b, 65536);
         for s in 0..3 {
-            let r = bulk_arena.regions[s];
-            for id in [
+            let r = arena.regions(s);
+            let ids = [
                 r.tcp_ctx,
                 r.sock,
                 r.skb_meta,
                 r.skb_data,
                 r.tx_app_buf,
                 r.rx_app_buf,
-            ] {
+            ];
+            assert_eq!(ids[..], looped[6 * s..6 * s + 6]);
+            for id in ids {
                 assert_eq!(mem_b.regions().get(id), mem_a.regions().get(id));
                 assert_eq!(mem_b.regions().name(id), mem_a.regions().name(id));
             }
+            assert_eq!(r.rx_dma_buf, dma_a[s]);
         }
         assert_eq!(mem_b.regions().len(), mem_a.regions().len());
         assert_eq!(mem_b.regions().footprint(), mem_a.regions().footprint());
-        assert_eq!(
-            mem_b
-                .regions()
-                .name(loop_arena.regions[2].skb_data)
-                .render(),
-            "conn2.skb_data"
-        );
+        assert_eq!(mem_b.construction_layout(), mem_a.construction_layout());
     }
 
     #[test]
     fn fresh_state_is_empty() {
-        let (_mem, arena, flow) = arena_with_one(0);
-        let s = arena.slot(flow);
-        assert!(arena.rx_queue[s].is_empty());
+        let (_mem, mut arena) = arena_with_slots(1);
+        let s = arena.slot(arena.handle(ConnectionId::new(0)));
         assert_eq!(arena.rx_queue_bytes[s], 0);
         assert_eq!(arena.tx_inflight[s], 0);
-        assert!(arena.established[s]);
+        assert_eq!(arena.state(s), ConnState::Established);
+        assert_eq!(arena.built(), 0, "reads build nothing");
+        let fresh = arena.congestion(s);
+        assert!(arena.socket(s).rx_queue.is_empty());
+        assert_eq!(arena.socket(s).congestion, fresh);
+        assert_eq!(arena.built(), 1);
         assert_eq!(arena.len(), 1);
     }
 
     #[test]
     fn handles_round_trip_through_slots() {
-        let (_mem, arena, flow) = arena_with_one(0);
-        assert_eq!(arena.handle(ConnectionId::new(0)), flow);
+        let (_mem, arena) = arena_with_slots(1);
+        let flow = arena.handle(ConnectionId::new(0));
         assert_eq!(flow.index(), 0);
         assert_eq!(arena.slot(flow), 0);
     }
@@ -480,53 +506,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale FlowId")]
     fn stale_generation_is_rejected() {
-        let (_mem, mut arena, flow) = arena_with_one(0);
+        let (_mem, mut arena) = arena_with_slots(1);
+        let flow = arena.handle(ConnectionId::new(0));
         // Simulate a slot reuse: bump the generation behind the handle.
         arena.generations[0] += 1;
         let _ = arena.slot(flow);
     }
 
-    fn arena_with_slots(n: u32) -> (MemorySystem, FlowArena) {
-        let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
-        let dma = mem.add_region("nic0.rx_buffers", 64 * 1024);
-        let mut arena = FlowArena::default();
-        for i in 0..n {
-            arena.insert(
-                ConnectionId::new(i),
-                &mut mem,
-                &StackConfig::paper(),
-                dma,
-                4096,
-            );
-        }
-        (mem, arena)
-    }
-
     #[test]
     fn alloc_fails_when_no_slot_is_free() {
         let (_mem, mut arena) = arena_with_slots(2);
-        // insert() leaves every slot live; nothing to alloc.
-        assert!(arena.alloc(&StackConfig::paper()).is_none());
+        // Provisioned slots are all live; nothing to alloc.
+        assert!(arena.alloc().is_none());
         assert_eq!(arena.live(), 2);
     }
 
     #[test]
     fn free_then_alloc_recycles_with_bumped_generation() {
         let (_mem, mut arena) = arena_with_slots(1);
-        let config = StackConfig::paper();
         let old = arena.handle(ConnectionId::new(0));
         arena.rx_queue_bytes[0] = 77;
         arena.tx_unacked[0] = 3;
         arena.free(old);
         assert_eq!(arena.live(), 0);
-        let fresh = arena.alloc(&config).expect("one slot free");
+        let fresh = arena.alloc().expect("one slot free");
         assert_eq!(fresh.index(), 0);
         assert_ne!(fresh, old, "recycled handle must carry a new generation");
         assert_eq!(arena.slot(fresh), 0);
         assert_eq!(arena.rx_queue_bytes[0], 0, "protocol state resets");
         assert_eq!(arena.tx_unacked[0], 0);
-        assert_eq!(arena.states[0], ConnState::Closed);
-        assert!(!arena.established[0]);
+        assert_eq!(arena.state(0), ConnState::Closed);
         assert_eq!(arena.live(), 1);
     }
 
@@ -542,14 +551,15 @@ mod tests {
     #[test]
     fn free_all_empties_the_arena_deterministically() {
         let (_mem, mut arena) = arena_with_slots(3);
-        let config = StackConfig::paper();
         arena.free_all();
         assert_eq!(arena.live(), 0);
-        // LIFO: highest slot pops first.
-        assert_eq!(arena.alloc(&config).unwrap().index(), 2);
-        assert_eq!(arena.alloc(&config).unwrap().index(), 1);
-        assert_eq!(arena.alloc(&config).unwrap().index(), 0);
-        assert!(arena.alloc(&config).is_none());
+        assert!((0..3).all(|s| arena.state(s) == ConnState::Closed));
+        // Highest slot first.
+        assert_eq!(arena.alloc().unwrap().index(), 2);
+        assert_eq!(arena.alloc().unwrap().index(), 1);
+        assert_eq!(arena.alloc().unwrap().index(), 0);
+        assert!(arena.alloc().is_none());
+        assert_eq!(arena.built(), 3);
     }
 
     mod properties {
@@ -566,21 +576,30 @@ mod tests {
             /// handle they invalidated, the live count must equal the
             /// model's size after every op, and every live handle must
             /// keep resolving to its slot.
+            ///
+            /// Hand-out order follows a free stack that starts as
+            /// `[0, 1, …, n−1]`: fresh slots from the top down (n−1,
+            /// n−2, …), freed slots LIFO ahead of them. A recycled slot
+            /// keeps its regions and its slab/DMA cursors, and only
+            /// slots ever handed out get their socket state built.
             #[test]
             fn alloc_free_matches_hashmap_model(
                 ops in prop::collection::vec((0u8..2, 0usize..SLOTS), 0..96),
             ) {
                 let (_mem, mut arena) = arena_with_slots(SLOTS as u32);
-                let config = StackConfig::paper();
+                let regions: Vec<ConnectionRegions> = (0..SLOTS).map(|s| arena.regions(s)).collect();
                 arena.free_all();
                 let mut model: HashMap<usize, FlowId> = HashMap::new();
+                let mut free_stack: Vec<usize> = (0..SLOTS).collect();
                 let mut retired: Vec<FlowId> = Vec::new();
+                let mut handed_out = std::collections::HashSet::new();
                 for (op, pick) in ops {
                     match op {
-                        0 => match arena.alloc(&config) {
+                        0 => match arena.alloc() {
                             Some(flow) => {
                                 prop_assert!(model.len() < SLOTS);
                                 let slot = flow.index();
+                                prop_assert_eq!(Some(slot), free_stack.pop());
                                 prop_assert!(!model.contains_key(&slot));
                                 if let Some(old) = retired.iter().find(|r| r.index() == slot) {
                                     prop_assert_ne!(
@@ -588,9 +607,22 @@ mod tests {
                                         "recycled slot must bump generation"
                                     );
                                 }
+                                prop_assert_eq!(arena.regions(slot), regions[slot]);
+                                // A recycled slot's cursors carry its
+                                // predecessor's weather; a fresh one's are
+                                // zero.
+                                let recycled = !handed_out.insert(slot);
+                                let weather = u64::from(recycled) * (slot as u64 + 1);
+                                prop_assert_eq!(arena.skb_data_cursor[slot], weather * 100);
+                                prop_assert_eq!(arena.rx_dma_cursor[slot], weather * 7);
+                                arena.skb_data_cursor[slot] = (slot as u64 + 1) * 100;
+                                arena.rx_dma_cursor[slot] = (slot as u64 + 1) * 7;
                                 model.insert(slot, flow);
                             }
-                            None => prop_assert_eq!(model.len(), SLOTS),
+                            None => {
+                                prop_assert_eq!(model.len(), SLOTS);
+                                prop_assert!(free_stack.is_empty());
+                            }
                         },
                         _ => {
                             if model.is_empty() {
@@ -601,10 +633,12 @@ mod tests {
                             let slot = live[pick % live.len()];
                             let flow = model.remove(&slot).unwrap();
                             arena.free(flow);
+                            free_stack.push(slot);
                             retired.push(flow);
                         }
                     }
                     prop_assert_eq!(arena.live(), model.len());
+                    prop_assert_eq!(arena.built(), handed_out.len());
                     for (&slot, &flow) in &model {
                         prop_assert_eq!(arena.slot(flow), slot);
                     }

@@ -5,7 +5,7 @@ use sim_core::{ConnectionId, IrqVector, Result, SimError, SimRng};
 use sim_cpu::{Core, DataTouch, PerfCounters, WorkItem};
 use sim_mem::{MemorySystem, RegionId};
 use sim_net::wire;
-use sim_os::{SpinLock, SpinLockCosts};
+use sim_os::SpinLockCosts;
 use sim_prof::{FuncId, FunctionRegistry, ProfScratch, Profiler};
 
 use crate::bin::Bin;
@@ -157,9 +157,9 @@ pub struct TcpStack {
     /// lookup into an array load instead of a hash).
     irq_funcs: Vec<Option<FuncId>>,
     lifecycle: LifecycleFnIds,
+    /// Per-connection state, each connection's `sk_lock` included (all
+    /// priced by `lock_costs`).
     flows: FlowArena,
-    /// Each connection's `sk_lock`, all priced by `lock_costs`.
-    locks: Vec<SpinLock>,
     lock_costs: SpinLockCosts,
     listen: Option<ListenSocket>,
 }
@@ -267,7 +267,6 @@ impl TcpStack {
         // layout to the old per-flow insert loop, without its O(flows)
         // incremental resizes and format allocations.
         let flows = FlowArena::provision(mem, &config, conn_dma, max_message);
-        let locks = vec![SpinLock::new(); flows.len()];
 
         // Lifecycle symbols last — after the per-connection regions, not
         // just after the legacy symbols: appending at the very end keeps
@@ -288,7 +287,6 @@ impl TcpStack {
             irq_funcs,
             lifecycle,
             flows,
-            locks,
             lock_costs: SpinLockCosts::default(),
             listen: None,
         })
@@ -326,7 +324,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn regions(&self, conn: ConnectionId) -> ConnectionRegions {
-        self.flows.regions[self.slot_of(conn)]
+        self.flows.regions(self.slot_of(conn))
     }
 
     /// The IRQ-handler function registered for `vector`, if any.
@@ -363,7 +361,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn tx_window(&self, conn: ConnectionId) -> u32 {
-        self.flows.congestion[self.slot_of(conn)].window()
+        self.flows.congestion(self.slot_of(conn)).window()
     }
 
     /// TX segments sent but not yet ACKed (what the congestion window
@@ -384,7 +382,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn congestion(&self, conn: ConnectionId) -> crate::congestion::CongestionState {
-        self.flows.congestion[self.slot_of(conn)]
+        self.flows.congestion(self.slot_of(conn))
     }
 
     /// Whether `conn` is established.
@@ -394,7 +392,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn is_established(&self, conn: ConnectionId) -> bool {
-        self.flows.established[self.slot_of(conn)]
+        self.flows.state(self.slot_of(conn)) == ConnState::Established
     }
 
     fn item(&self, cost: &FuncCost, func: FuncId, bytes: u64) -> WorkItem {
@@ -417,10 +415,14 @@ impl TcpStack {
     /// concurrently in this connection's critical sections.
     fn acquire_lock(&mut self, ctx: &mut ExecCtx<'_>, conn: usize, cross_cpu: bool) -> u64 {
         let contended = cross_cpu && ctx.rng.chance(self.config.cross_cpu_contention);
-        let acq = self.locks[conn].acquire(&self.lock_costs, contended, ctx.rng);
+        let acq = self
+            .flows
+            .socket(conn)
+            .lock
+            .acquire(&self.lock_costs, contended, ctx.rng);
         // The lock word lives in the socket structure; grabbing it is a
         // write (and the source of coherence ping-pong when contended).
-        let sock = self.flows.regions[conn].sock;
+        let sock = self.flows.regions(conn).sock;
         let touch_item = WorkItem::new(0)
             .code(self.code[self.ids.lock_section.index()], 128)
             .touch(DataTouch::write(sock, 0, 64));
@@ -466,7 +468,7 @@ impl TcpStack {
             .div_ceil(self.config.tx_wake_batch)
             .max(1);
 
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         // Interface, once per wake-up episode.
         for ep in 0..episodes {
             let item = self
@@ -586,7 +588,7 @@ impl TcpStack {
         ring_slot: u64,
         seg_bytes: u32,
     ) -> u64 {
-        let regions = self.flows.regions[self.slot_of(conn)];
+        let regions = self.flows.regions(self.slot_of(conn));
         let item = self
             .item(
                 &self.config.e1000_xmit,
@@ -637,7 +639,7 @@ impl TcpStack {
         cross_cpu: bool,
     ) -> u64 {
         let ci = self.slot_of(conn);
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         let mut cycles = self.acquire_lock(ctx, ci, cross_cpu);
         // ACK processing reads the whole control block and dirties the
         // receive/ack half of it (snd_una, rtt estimators, cwnd, window)
@@ -665,7 +667,7 @@ impl TcpStack {
             .item(&self.config.mod_timer, self.ids.mod_timer, 0)
             .touch(DataTouch::write(regions.tcp_ctx, 1024, 64));
         cycles += self.run(ctx, self.ids.mod_timer, item);
-        self.flows.congestion[ci].on_ack(acked_segments);
+        self.flows.socket(ci).congestion.on_ack(acked_segments);
         self.flows.tx_unacked[ci] = self.flows.tx_unacked[ci].saturating_sub(acked_segments);
         cycles
     }
@@ -682,7 +684,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     pub fn connect(&mut self, ctx: &mut ExecCtx<'_>, conn: ConnectionId, cross_cpu: bool) -> u64 {
         let ci = self.slot_of(conn);
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         let mut cycles = 0;
         let item = self
             .item(&self.config.system_call, self.ids.system_call, 0)
@@ -703,8 +705,8 @@ impl TcpStack {
             .item(&self.config.mod_timer, self.ids.mod_timer, 0)
             .touch(DataTouch::write(regions.tcp_ctx, 1024, 64));
         cycles += self.run(ctx, self.ids.mod_timer, item);
-        self.flows.established[ci] = true;
-        self.flows.congestion[ci] =
+        self.flows.set_state(ci, ConnState::Established);
+        self.flows.socket(ci).congestion =
             crate::congestion::CongestionState::new(self.config.initial_cwnd, self.config.max_cwnd);
         cycles
     }
@@ -717,7 +719,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     pub fn close(&mut self, ctx: &mut ExecCtx<'_>, conn: ConnectionId, cross_cpu: bool) -> u64 {
         let ci = self.slot_of(conn);
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         let mut cycles = self.acquire_lock(ctx, ci, cross_cpu);
         let item = self
             .item(&self.config.tcp_close, self.ids.tcp_close, 0)
@@ -728,7 +730,7 @@ impl TcpStack {
             .item(&self.config.tcp_transmit_skb, self.ids.tcp_transmit_skb, 0)
             .touch(DataTouch::read(regions.tcp_ctx, 0, 256));
         cycles += self.run(ctx, self.ids.tcp_transmit_skb, item);
-        self.flows.established[ci] = false;
+        self.flows.set_state(ci, ConnState::Closed);
         cycles
     }
 
@@ -747,8 +749,8 @@ impl TcpStack {
         cross_cpu: bool,
     ) -> u64 {
         let ci = self.slot_of(conn);
-        let regions = self.flows.regions[ci];
-        self.flows.congestion[ci].on_timeout();
+        let regions = self.flows.regions(ci);
+        self.flows.socket(ci).congestion.on_timeout();
         let mut cycles = self.acquire_lock(ctx, ci, cross_cpu);
         let item = self
             .item(
@@ -798,7 +800,7 @@ impl TcpStack {
         cross_cpu: bool,
     ) -> RxBatchOutcome {
         let ci = self.slot_of(conn);
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         let was_empty = self.flows.rx_queue_bytes[ci] == 0;
         let mut outcome = RxBatchOutcome::default();
 
@@ -851,7 +853,10 @@ impl TcpStack {
 
             let dma_off = self.flows.rx_dma_cursor[ci];
             self.flows.rx_dma_cursor[ci] = dma_off + fb;
-            self.flows.rx_queue[ci].push_back((frame_bytes, dma_off));
+            self.flows
+                .socket(ci)
+                .rx_queue
+                .push_back((frame_bytes, dma_off));
             self.flows.rx_queue_bytes[ci] += fb;
 
             // Delayed ACK.
@@ -905,7 +910,7 @@ impl TcpStack {
         cross_cpu: bool,
     ) -> u64 {
         let ci = self.slot_of(conn);
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
 
         let item = self
             .item(&self.config.system_call, self.ids.system_call, 0)
@@ -920,7 +925,7 @@ impl TcpStack {
         let mut copied = 0u64;
         let mut app_offset = 0u64;
         while copied < max_bytes {
-            let Some((frame_bytes, dma_off)) = self.flows.rx_queue[ci].pop_front() else {
+            let Some((frame_bytes, dma_off)) = self.flows.socket(ci).rx_queue.pop_front() else {
                 break;
             };
             let fb = u64::from(frame_bytes);
@@ -975,7 +980,7 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn lock_stats(&self, conn: ConnectionId) -> sim_os::SpinLockStats {
-        self.locks[conn.index()].stats()
+        self.flows.lock_stats(conn.index())
     }
 
     // --- Server-side connection lifecycle -----------------------------
@@ -994,12 +999,6 @@ impl TcpStack {
         self.flows.free_all();
     }
 
-    /// The listening socket, if [`listen`](Self::listen) was called.
-    #[must_use]
-    pub fn listen_socket(&self) -> Option<ListenSocket> {
-        self.listen
-    }
-
     /// Flow slots currently allocated (alive anywhere in
     /// SYN_RCVD/ESTABLISHED/FIN_WAIT).
     #[must_use]
@@ -1014,14 +1013,14 @@ impl TcpStack {
     /// Panics if `conn` is out of range.
     #[must_use]
     pub fn conn_state(&self, conn: ConnectionId) -> ConnState {
-        self.flows.states[self.slot_of(conn)]
+        self.flows.state(self.slot_of(conn))
     }
 
     /// Allocates a flow slot for an arriving connection (state
     /// [`ConnState::Closed`] until the SYN is processed). Returns `None`
     /// when every slot is live.
     pub fn flow_alloc(&mut self) -> Option<ConnectionId> {
-        let flow = self.flows.alloc(&self.config)?;
+        let flow = self.flows.alloc()?;
         Some(ConnectionId::new(flow.index() as u32))
     }
 
@@ -1052,7 +1051,7 @@ impl TcpStack {
         cross_cpu: bool,
     ) -> SynOutcome {
         let ci = self.slot_of(conn);
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         // Demux runs regardless of the backlog outcome.
         let item = self
             .item(&self.config.tcp_v4_rcv, self.ids.tcp_v4_rcv, 0)
@@ -1088,7 +1087,7 @@ impl TcpStack {
             .touch(DataTouch::write(regions.tcp_ctx, 1024, 64));
         cycles += self.run(ctx, self.ids.mod_timer, item);
         let _ = cross_cpu;
-        self.flows.states[ci] = ConnState::SynRcvd;
+        self.flows.set_state(ci, ConnState::SynRcvd);
         SynOutcome {
             queued: true,
             cycles,
@@ -1106,7 +1105,7 @@ impl TcpStack {
     pub fn accept(&mut self, ctx: &mut ExecCtx<'_>, conn: ConnectionId, cross_cpu: bool) -> u64 {
         let ci = self.slot_of(conn);
         assert_eq!(
-            self.flows.states[ci],
+            self.flows.state(ci),
             ConnState::SynRcvd,
             "accept requires SYN_RCVD"
         );
@@ -1116,7 +1115,7 @@ impl TcpStack {
             .expect("accept requires a listening socket");
         assert!(listen.in_backlog > 0, "accept from an empty backlog");
         listen.in_backlog -= 1;
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         let item = self
             .item(&self.config.system_call, self.ids.system_call, 0)
             .touch(DataTouch::read(regions.sock, 0, 64));
@@ -1127,8 +1126,7 @@ impl TcpStack {
             .touch(DataTouch::read(regions.tcp_ctx, 0, 512))
             .touch(DataTouch::write(regions.sock, 0, 256));
         cycles += self.run(ctx, self.lifecycle.tcp_accept, item);
-        self.flows.states[ci] = ConnState::Established;
-        self.flows.established[ci] = true;
+        self.flows.set_state(ci, ConnState::Established);
         cycles
     }
 
@@ -1143,11 +1141,11 @@ impl TcpStack {
     pub fn send_fin(&mut self, ctx: &mut ExecCtx<'_>, conn: ConnectionId, cross_cpu: bool) -> u64 {
         let ci = self.slot_of(conn);
         assert_eq!(
-            self.flows.states[ci],
+            self.flows.state(ci),
             ConnState::Established,
             "send_fin requires ESTABLISHED"
         );
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         let mut cycles = self.acquire_lock(ctx, ci, cross_cpu);
         let item = self
             .item(&self.config.tcp_close, self.ids.tcp_close, 0)
@@ -1158,8 +1156,7 @@ impl TcpStack {
             .item(&self.config.tcp_transmit_skb, self.ids.tcp_transmit_skb, 0)
             .touch(DataTouch::read(regions.tcp_ctx, 0, 256));
         cycles += self.run(ctx, self.ids.tcp_transmit_skb, item);
-        self.flows.states[ci] = ConnState::FinWait;
-        self.flows.established[ci] = false;
+        self.flows.set_state(ci, ConnState::FinWait);
         self.flows.tx_inflight[ci] += 1;
         self.flows.tx_unacked[ci] += 1;
         cycles
@@ -1180,11 +1177,11 @@ impl TcpStack {
     ) -> u64 {
         let ci = self.slot_of(conn);
         assert_eq!(
-            self.flows.states[ci],
+            self.flows.state(ci),
             ConnState::FinWait,
             "on_fin_ack requires FIN_WAIT"
         );
-        let regions = self.flows.regions[ci];
+        let regions = self.flows.regions(ci);
         let mut cycles = self.acquire_lock(ctx, ci, cross_cpu);
         let item = self
             .item(&self.config.tcp_v4_rcv, self.ids.tcp_v4_rcv, 0)
@@ -1203,7 +1200,7 @@ impl TcpStack {
             .touch(DataTouch::write(regions.skb_meta, slot, 128));
         cycles += self.run(ctx, self.ids.kfree_skb, item);
         self.flows.tx_unacked[ci] = self.flows.tx_unacked[ci].saturating_sub(1);
-        self.flows.states[ci] = ConnState::Closed;
+        self.flows.set_state(ci, ConnState::Closed);
         cycles
     }
 }
@@ -1250,6 +1247,50 @@ mod tests {
     }
 
     const CONN: ConnectionId = ConnectionId::new(0);
+
+    /// A 500k-slot listening stack serving connections through their
+    /// whole life, a bounded number at a time: only the slots ever
+    /// handed out get their socket state built, not all 500k.
+    #[test]
+    fn churn_builds_only_the_slots_it_allocates() {
+        const SLOTS: usize = 500_000;
+        let mut mem = MemorySystem::new(MemoryConfig::paper_sut(2));
+        let dma = mem.add_region("nic0.rx_buffers", 512 * 1024);
+        let mut stack = TcpStack::new(
+            StackConfig::paper(),
+            &mut mem,
+            &vec![dma; SLOTS],
+            &[IrqVector::new(0x19)],
+            4096,
+        )
+        .unwrap();
+        stack.listen(64);
+        assert_eq!(stack.flows.built(), 0);
+        let mut core = Core::new(CpuId::new(0), CpuConfig::paper_sut());
+        let mut prof = Profiler::new(2);
+        let mut rng = SimRng::new(7);
+        let mut ctx = ExecCtx::new(&mut core, &mut mem, &mut prof, &mut rng);
+        let mut open = std::collections::VecDeque::new();
+        let mut ever = std::collections::HashSet::new();
+        for i in 0..2_000u32 {
+            // Up to 1 + i % 48 connections overlap, so freed slots are
+            // reused LIFO and fresh ones are taken as the load grows.
+            while open.len() > (i % 48) as usize {
+                let conn = open.pop_front().unwrap();
+                stack.send_fin(&mut ctx, conn, false);
+                stack.on_fin_ack(&mut ctx, conn, false);
+                stack.flow_free(conn);
+            }
+            let conn = stack.flow_alloc().expect("free slots remain");
+            assert!(stack.on_syn(&mut ctx, conn, false).queued);
+            stack.accept(&mut ctx, conn, false);
+            ever.insert(conn);
+            open.push_back(conn);
+        }
+        assert!(ever.len() < 64, "{} distinct slots", ever.len());
+        assert_eq!(stack.flows.built(), ever.len());
+        assert_eq!(stack.live_flows(), open.len());
+    }
 
     #[test]
     fn sendmsg_segments_and_inflight() {
